@@ -165,8 +165,9 @@ dune exec --no-build bin/ucp.exe -- experiment \
   exit 1
 }
 
-# spans from all instrumented layers must be present
-for span in case analysis optimize simulate audit \
+# spans from all instrumented layers must be present (the sweep runs
+# under the default --refine nc, so the refinement stage shows too)
+for span in case analysis optimize simulate audit refine \
   optimizer-round fixpoint-pass audit-obligation
 do
   if ! grep -q "\"name\":\"$span\"" "$obs_dir/trace.json"; then

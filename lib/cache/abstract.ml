@@ -1,51 +1,32 @@
 type kind = Ucp_policy.kind = Must | May
 
-(* Two interchangeable representations of the same domains:
-
-   - [Functional]: per set, an association list (memory block, age
-     bound) sorted by block id.  Ages range over [0, assoc); entries
-     reaching [assoc] are evicted from the abstract state.  Retained as
-     the executable reference semantics (qcheck-tested against).
-   - [Flat]: cacheaudit-style packed age vector — one int array over
-     the memory-block universe, [ages.(mb - base)] the block's age
-     bound with absence encoded as the saturation value
-     [Ucp_policy.flat_cap].  [base] makes the indexing dense: code
-     memory blocks sit near the layout's anchor address (ids around
-     2{^20}), so the vector covers only the program's own id range, not
-     the whole address space.  [members.(s)] lists the universe
-     {e offsets} mapping to cache set [s] (shared, immutable).  Joins
-     and the domain order become pointwise max/min and comparisons;
-     updates copy one small int array instead of rebuilding association
-     lists.
+(* Cacheaudit-style packed age vector: one int array over the
+   memory-block universe, [ages.(mb - base)] the block's age bound with
+   absence encoded as the saturation value [cap] (the policy's
+   [flat_cap]).  [base] makes the indexing dense: code memory blocks sit
+   near the layout's anchor address (ids around 2{^20}), so the vector
+   covers only the program's own id range, not the whole address space.
+   [members.(s)] lists the universe {e offsets} mapping to cache set [s]
+   (shared, immutable).  Joins and the domain order are pointwise
+   max/min and comparisons; updates touch only the accessed block's set
+   members.
 
    The per-set transfer functions live in Ucp_policy and are dispatched
-   through the policy's first-class module; for functional LRU they are
-   byte-identical to the seed's formulas. *)
-type repr =
-  | Functional of Ucp_policy.aset array
-  | Flat of { base : int; ages : int array; members : int array array }
-
+   through the policy's first-class module. *)
 type t = {
   config : Config.t;
   kind : kind;
   policy : Ucp_policy.id;
   pol : (module Ucp_policy.POLICY);
-  repr : repr;
+  cap : int;
+  base : int;
+  ages : int array;
+  members : int array array;
 }
 
-let empty ?(policy = Ucp_policy.Lru) config kind =
+let empty ?(policy = Ucp_policy.Lru) ~base ~universe config kind =
   Ucp_policy.check_assoc policy ~assoc:config.Config.assoc;
-  {
-    config;
-    kind;
-    policy;
-    pol = Ucp_policy.find policy;
-    repr = Functional (Array.make config.Config.sets []);
-  }
-
-let empty_flat ?(policy = Ucp_policy.Lru) ~base ~universe config kind =
-  Ucp_policy.check_assoc policy ~assoc:config.Config.assoc;
-  if universe < 1 then invalid_arg "Abstract.empty_flat: empty universe";
+  if universe < 1 then invalid_arg "Abstract.empty: empty universe";
   let pol = Ucp_policy.find policy in
   let module P = (val pol : Ucp_policy.POLICY) in
   let cap = P.flat_cap kind ~assoc:config.Config.assoc in
@@ -62,77 +43,39 @@ let empty_flat ?(policy = Ucp_policy.Lru) ~base ~universe config kind =
     kind;
     policy;
     pol;
-    repr =
-      Flat
-        {
-          base;
-          ages = Array.make universe cap;
-          members = Array.map Array.of_list member_lists;
-        };
+    cap;
+    base;
+    ages = Array.make universe cap;
+    members = Array.map Array.of_list member_lists;
   }
 
 let kind t = t.kind
 let config t = t.config
 let policy t = t.policy
-let is_flat t = match t.repr with Flat _ -> true | Functional _ -> false
-
-let set_idx t mb = Config.set_of_mem_block t.config mb
-
-let cap_of t =
-  let module P = (val t.pol : Ucp_policy.POLICY) in
-  P.flat_cap t.kind ~assoc:t.config.Config.assoc
 
 (* offset of a raw block id into the packed vector *)
-let flat_idx ~base ages mb =
-  let idx = mb - base in
-  if idx < 0 || idx >= Array.length ages then
+let offset t mb =
+  let idx = mb - t.base in
+  if idx < 0 || idx >= Array.length t.ages then
     invalid_arg
-      (Printf.sprintf "Abstract: memory block %d outside the flat universe [%d,%d)"
-         mb base
-         (base + Array.length ages));
+      (Printf.sprintf "Abstract: memory block %d outside the universe [%d,%d)" mb
+         t.base
+         (t.base + Array.length t.ages));
   idx
 
-let apply op ?(hint = Ucp_policy.Unknown) t mb =
-  let module P = (val t.pol : Ucp_policy.POLICY) in
-  match t.repr with
-  | Functional sets ->
-    let f = match op with `Update -> P.aset_update | `Fill -> P.aset_fill in
-    let s = set_idx t mb in
-    let sets = Array.copy sets in
-    sets.(s) <- f t.kind ~assoc:t.config.Config.assoc ~hint sets.(s) mb;
-    { t with repr = Functional sets }
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    let g = match op with `Update -> P.fset_update | `Fill -> P.fset_fill in
-    let ages = Array.copy f.ages in
-    g t.kind ~assoc:t.config.Config.assoc ~hint ~ages
-      ~members:f.members.(set_idx t mb) idx;
-    { t with repr = Flat { f with ages } }
+let set_members t mb = t.members.(Config.set_of_mem_block t.config mb)
 
-let update ?hint t mb = apply `Update ?hint t mb
-let fill ?hint t mb = apply `Fill ?hint t mb
-
-(* Destructive variants for the analysis hot loop: [copy] takes the one
-   defensive copy, then [update_ip]/[fill_ip] mutate it through a whole
-   node transfer — one allocation per node instead of one per
-   instruction slot. *)
-let copy t =
-  match t.repr with
-  | Functional sets -> { t with repr = Functional (Array.copy sets) }
-  | Flat f -> { t with repr = Flat { f with ages = Array.copy f.ages } }
+(* [copy] takes the one defensive copy, then [update_ip]/[fill_ip]
+   mutate it through a whole node transfer — one allocation per node
+   instead of one per instruction slot. *)
+let copy t = { t with ages = Array.copy t.ages }
 
 let apply_ip op ?(hint = Ucp_policy.Unknown) t mb =
   let module P = (val t.pol : Ucp_policy.POLICY) in
-  match t.repr with
-  | Functional sets ->
-    let f = match op with `Update -> P.aset_update | `Fill -> P.aset_fill in
-    let s = set_idx t mb in
-    sets.(s) <- f t.kind ~assoc:t.config.Config.assoc ~hint sets.(s) mb
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    let g = match op with `Update -> P.fset_update | `Fill -> P.fset_fill in
-    g t.kind ~assoc:t.config.Config.assoc ~hint ~ages:f.ages
-      ~members:f.members.(set_idx t mb) idx
+  let idx = offset t mb in
+  let f = match op with `Update -> P.fset_update | `Fill -> P.fset_fill in
+  f t.kind ~assoc:t.config.Config.assoc ~hint ~ages:t.ages ~members:(set_members t mb)
+    idx
 
 let update_ip ?hint t mb = apply_ip `Update ?hint t mb
 let fill_ip ?hint t mb = apply_ip `Fill ?hint t mb
@@ -142,126 +85,83 @@ let check_compatible op a b =
   if not (Config.equal a.config b.config) then
     invalid_arg (Printf.sprintf "Abstract.%s: configuration mismatch" op);
   if a.policy <> b.policy then
-    invalid_arg (Printf.sprintf "Abstract.%s: policy mismatch" op)
-
-let repr_mismatch op =
-  invalid_arg (Printf.sprintf "Abstract.%s: mixed flat/functional representations" op)
+    invalid_arg (Printf.sprintf "Abstract.%s: policy mismatch" op);
+  if a.base <> b.base || Array.length a.ages <> Array.length b.ages then
+    invalid_arg (Printf.sprintf "Abstract.%s: universe mismatch" op)
 
 let join a b =
   check_compatible "join" a b;
-  let module P = (val a.pol : Ucp_policy.POLICY) in
-  match (a.repr, b.repr) with
-  | Functional sa, Functional sb ->
-    let join_set ea eb = P.aset_join a.kind ea eb |> List.sort compare in
-    {
-      a with
-      repr = Functional (Array.init (Array.length sa) (fun i -> join_set sa.(i) sb.(i)));
-    }
-  | Flat fa, Flat fb ->
-    if Array.length fa.ages <> Array.length fb.ages || fa.base <> fb.base then
-      invalid_arg "Abstract.join: flat universe mismatch";
-    (* must: intersection with maximal age bounds; may: union with
-       minimal bounds — both pointwise thanks to the saturation
-       encoding of absence *)
-    let merge = match a.kind with Must -> max | May -> min in
-    let ages = Array.init (Array.length fa.ages) (fun i -> merge fa.ages.(i) fb.ages.(i)) in
-    { a with repr = Flat { fa with ages } }
-  | Functional _, Flat _ | Flat _, Functional _ -> repr_mismatch "join"
+  (* must: intersection with maximal age bounds; may: union with
+     minimal bounds — both pointwise thanks to the saturation encoding
+     of absence *)
+  let merge = match a.kind with Must -> max | May -> min in
+  { a with ages = Array.map2 merge a.ages b.ages }
 
 let leq a b =
   check_compatible "leq" a b;
-  let module P = (val a.pol : Ucp_policy.POLICY) in
-  match (a.repr, b.repr) with
-  | Functional sa, Functional sb ->
-    let n = Array.length sa in
-    let rec go i = i >= n || (P.aset_leq a.kind sa.(i) sb.(i) && go (i + 1)) in
-    go 0
-  | Flat fa, Flat fb ->
-    if Array.length fa.ages <> Array.length fb.ages || fa.base <> fb.base then
-      invalid_arg "Abstract.leq: flat universe mismatch";
-    let n = Array.length fa.ages in
-    let ok i =
-      match a.kind with Must -> fa.ages.(i) <= fb.ages.(i) | May -> fb.ages.(i) <= fa.ages.(i)
-    in
-    let rec go i = i >= n || (ok i && go (i + 1)) in
-    go 0
-  | Functional _, Flat _ | Flat _, Functional _ -> repr_mismatch "leq"
+  let n = Array.length a.ages in
+  let ok i =
+    match a.kind with
+    | Must -> a.ages.(i) <= b.ages.(i)
+    | May -> b.ages.(i) <= a.ages.(i)
+  in
+  let rec go i = i >= n || (ok i && go (i + 1)) in
+  go 0
 
-let contains t mb =
-  match t.repr with
-  | Functional sets -> List.mem_assoc mb sets.(set_idx t mb)
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    f.ages.(idx) < cap_of t
+let contains t mb = t.ages.(offset t mb) < t.cap
 
 let age t mb =
-  match t.repr with
-  | Functional sets -> List.assoc_opt mb sets.(set_idx t mb)
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    if f.ages.(idx) < cap_of t then Some f.ages.(idx) else None
+  let a = t.ages.(offset t mb) in
+  if a < t.cap then Some a else None
 
 let blocks t =
-  match t.repr with
-  | Functional sets ->
-    Array.to_list sets |> List.concat |> List.map fst |> List.sort compare
-  | Flat f ->
-    let cap = cap_of t in
-    let acc = ref [] in
-    for idx = Array.length f.ages - 1 downto 0 do
-      if f.ages.(idx) < cap then acc := (f.base + idx) :: !acc
-    done;
-    !acc
+  let acc = ref [] in
+  for idx = Array.length t.ages - 1 downto 0 do
+    if t.ages.(idx) < t.cap then acc := (t.base + idx) :: !acc
+  done;
+  !acc
 
+(* Set-local: the transfer runs on a scratch copy of the accessed set's
+   own entries (re-indexed 0..n-1), so a query costs O(set members)
+   rather than a copy of the whole universe. *)
 let victims ?(hint = Ucp_policy.Unknown) t mb =
   let module P = (val t.pol : Ucp_policy.POLICY) in
-  match t.repr with
-  | Functional sets ->
-    let before = sets.(set_idx t mb) in
-    let after = P.aset_update t.kind ~assoc:t.config.Config.assoc ~hint before mb in
-    List.filter_map
-      (fun (x, _) -> if x <> mb && not (List.mem_assoc x after) then Some x else None)
-      before
-  | Flat f ->
-    let idx = flat_idx ~base:f.base f.ages mb in
-    let cap = cap_of t in
-    let ages = Array.copy f.ages in
-    let members = f.members.(set_idx t mb) in
-    P.fset_update t.kind ~assoc:t.config.Config.assoc ~hint ~ages ~members idx;
-    Array.to_list members
-    |> List.filter (fun x -> x <> idx && f.ages.(x) < cap && ages.(x) >= cap)
-    |> List.map (fun x -> f.base + x)
+  let idx = offset t mb in
+  let members = set_members t mb in
+  let n = Array.length members in
+  let local = Array.map (fun x -> t.ages.(x)) members in
+  let rec pos i = if members.(i) = idx then i else pos (i + 1) in
+  let self = pos 0 in
+  P.fset_update t.kind ~assoc:t.config.Config.assoc ~hint ~ages:local
+    ~members:(Array.init n Fun.id) self;
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    if i <> self && t.ages.(members.(i)) < t.cap && local.(i) >= t.cap then
+      acc := (t.base + members.(i)) :: !acc
+  done;
+  !acc
 
 let equal a b =
   a.kind = b.kind && a.policy = b.policy
   && Config.equal a.config b.config
-  &&
-  match (a.repr, b.repr) with
-  | Functional sa, Functional sb -> sa = sb
-  | Flat fa, Flat fb -> fa.base = fb.base && fa.ages = fb.ages
-  | Functional _, Flat _ | Flat _, Functional _ -> repr_mismatch "equal"
+  && a.base = b.base && a.ages = b.ages
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s cache (%s):@,"
     (match t.kind with Must -> "must" | May -> "may")
     (Ucp_policy.to_string t.policy);
-  let pp_set i entries =
-    if entries <> [] then begin
-      Format.fprintf ppf "  set %d:" i;
-      List.iter (fun (mb, a) -> Format.fprintf ppf " s%d@%d" mb a) entries;
-      Format.pp_print_cut ppf ()
-    end
-  in
-  (match t.repr with
-  | Functional sets -> Array.iteri pp_set sets
-  | Flat f ->
-    let cap = cap_of t in
-    Array.iteri
-      (fun i members ->
-        pp_set i
-          (Array.to_list members
-          |> List.filter_map (fun idx ->
-                 if f.ages.(idx) < cap then Some (f.base + idx, f.ages.(idx))
-                 else None)))
-      f.members);
+  Array.iteri
+    (fun i members ->
+      let entries =
+        Array.to_list members
+        |> List.filter (fun idx -> t.ages.(idx) < t.cap)
+      in
+      if entries <> [] then begin
+        Format.fprintf ppf "  set %d:" i;
+        List.iter
+          (fun idx -> Format.fprintf ppf " s%d@%d" (t.base + idx) t.ages.(idx))
+          entries;
+        Format.pp_print_cut ppf ()
+      end)
+    t.members;
   Format.fprintf ppf "@]"

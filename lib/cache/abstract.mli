@@ -14,41 +14,38 @@
       reference to a block absent from the may state is an
       {e always-miss}.
 
-    States are immutable; [update] implements the abstract update Û of
-    the selected policy, and [fill] the prefetch-extended semantics in
-    which a block is installed without a demand access (as in the
-    prefetching extension of the abstract semantics [22]).  Policies
-    whose aging depends on the access outcome (FIFO) additionally take
-    a classification [?hint] for the transferred access; [Unknown] is
-    always sound and LRU/PLRU ignore hints entirely. *)
+    The one representation is the cacheaudit-style packed age vector:
+    one int array over the program's memory-block universe, absence
+    encoded by saturation at the policy's eviction threshold.  The
+    test suite carries an executable per-set association-list
+    reference semantics and checks these domains against it.
+
+    States are immutable except through {!update_ip} and {!fill_ip},
+    which mutate a private {!copy}: {!update_ip} implements the
+    abstract update Û of the selected policy, and {!fill_ip} the
+    prefetch-extended semantics in which a block is installed without
+    a demand access (as in the prefetching extension of the abstract
+    semantics [22]).  Policies whose aging depends on the access
+    outcome (FIFO) additionally take a classification [?hint] for the
+    transferred access; [Unknown] is always sound and LRU/PLRU ignore
+    hints entirely. *)
 
 type kind = Ucp_policy.kind = Must | May
 
 type t
 
-val empty : ?policy:Ucp_policy.id -> Config.t -> kind -> t
-(** Cold cache: nothing resident.  For must analysis this is also the
-    sound "no guarantees" element used at unknown program points.
-    Functional (per-set association list) representation.
-    @raise Invalid_argument if the policy rejects the configuration's
-    associativity (PLRU requires a power of two). *)
-
-val empty_flat :
+val empty :
   ?policy:Ucp_policy.id -> base:int -> universe:int -> Config.t -> kind -> t
-(** Cold cache in the cacheaudit-style flat age-vector representation:
-    one packed int array over the memory blocks
-    [\[base, base + universe)], absence encoded by saturation at the
-    policy's eviction threshold.  [base] keeps the vector dense — code
-    blocks sit near the layout's anchor address, so the array spans the
-    program's id range, not the address space.  Same abstract semantics
-    as {!empty} (qcheck-tested equivalent), cheaper transfers and
-    joins.  All states flowing into {!join}, {!leq} or {!equal}
-    together must share one representation (base and universe);
-    operations on blocks outside the universe raise
-    [Invalid_argument]. *)
-
-val is_flat : t -> bool
-(** Whether this state uses the flat age-vector representation. *)
+(** Cold cache over the memory blocks [\[base, base + universe)]:
+    nothing resident.  For must analysis this is also the sound "no
+    guarantees" element used at unknown program points.  [base] keeps
+    the vector dense — code blocks sit near the layout's anchor
+    address, so the array spans the program's id range, not the
+    address space.  All states flowing into {!join}, {!leq} or
+    {!equal} together must share one universe; operations on blocks
+    outside it raise [Invalid_argument].
+    @raise Invalid_argument if [universe < 1] or the policy rejects the
+    configuration's associativity (PLRU requires a power of two). *)
 
 val kind : t -> kind
 val config : t -> Config.t
@@ -56,39 +53,34 @@ val config : t -> Config.t
 val policy : t -> Ucp_policy.id
 (** The replacement policy this state models. *)
 
-val update : ?hint:Ucp_policy.hint -> t -> int -> t
-(** Abstract update for a demand reference to a memory block.  [?hint]
-    (default [Unknown]) is the classification of this very access, when
-    the caller knows it. *)
-
-val fill : ?hint:Ucp_policy.hint -> t -> int -> t
-(** Abstract effect of a completed prefetch of a memory block; [?hint]
-    says whether the block is known resident ([Hit]), known absent
-    ([Miss]) or unknown. *)
-
 val copy : t -> t
 (** Independent deep copy, for use with the destructive variants
     below: mutations of the copy never alias the original. *)
 
 val update_ip : ?hint:Ucp_policy.hint -> t -> int -> unit
-(** Destructive {!update}, for the analysis hot loop: mutates [t] in
-    place.  Only apply to states obtained from {!copy} that no other
-    holder can observe — one copy per node transfer instead of one
-    allocation per instruction slot. *)
+(** Abstract update for a demand reference to a memory block, in
+    place.  [?hint] (default [Unknown]) is the classification of this
+    very access, when the caller knows it.  Only apply to states
+    obtained from {!copy} that no other holder can observe — one copy
+    per node transfer instead of one allocation per instruction
+    slot. *)
 
 val fill_ip : ?hint:Ucp_policy.hint -> t -> int -> unit
-(** Destructive {!fill}; same ownership contract as {!update_ip}. *)
+(** Abstract effect of a completed prefetch of a memory block, in
+    place; [?hint] says whether the block is known resident ([Hit]),
+    known absent ([Miss]) or unknown.  Same ownership contract as
+    {!update_ip}. *)
 
 val join : t -> t -> t
 (** Must: intersection/max-age.  May: union/min-age.
-    @raise Invalid_argument when kinds, configurations or policies
-    differ. *)
+    @raise Invalid_argument when kinds, configurations, policies or
+    universes differ. *)
 
 val leq : t -> t -> bool
 (** Domain order with {!join} as an upper bound: [leq a b] iff every
     concrete cache described by [a] is also described by [b].
-    @raise Invalid_argument when kinds, configurations or policies
-    differ. *)
+    @raise Invalid_argument when kinds, configurations, policies or
+    universes differ. *)
 
 val contains : t -> int -> bool
 (** Membership in the abstract state (guaranteed for must, possible for
@@ -101,11 +93,13 @@ val blocks : t -> int list
 (** Resident blocks, ascending (the paper's [B(ĉ)], Definition 9). *)
 
 val victims : ?hint:Ucp_policy.hint -> t -> int -> int list
-(** [victims t mb] lists the blocks that [update t mb] (under the same
-    hint) removes from the state — for must analysis, the references
-    that lose their cached guarantee.  This implements the replacement
-    detection of Property 3 that drives prefetch-candidate discovery,
-    and asks the policy domain who can be evicted. *)
+(** [victims t mb] lists, ascending, the blocks that [update_ip t mb]
+    (under the same hint) would remove from the state — for must
+    analysis, the references that lose their cached guarantee.  This
+    implements the replacement detection of Property 3 that drives
+    prefetch-candidate discovery, and asks the policy domain who can be
+    evicted.  [t] is not modified; the cost is proportional to the
+    accessed set's share of the universe. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

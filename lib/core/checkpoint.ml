@@ -6,186 +6,24 @@ module Tech = Ucp_energy.Tech
 let format_version = 3
 
 (* ------------------------------------------------------------------ *)
-(* minimal JSON: just enough to round-trip our own journal lines *)
+(* decoding: journal lines are read back with Ucp_util.Json.  Its float
+   numbers round-trip the writer exactly — %.17g floats and integers
+   below 2^53.  A missing or ill-typed field makes the whole line
+   undecodable ([parse_line] answers [None]). *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of string  (* raw token: keeps ints exact and floats lossless *)
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module Json = Ucp_util.Json
 
-exception Malformed of string
+exception Undecodable
 
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Malformed (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-        | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-        | Some 'u' ->
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          let hex = String.sub s (!pos + 1) 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> fail "bad \\u escape"
-          in
-          (* our writer only \u-escapes ASCII control characters *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else Buffer.add_char buf '?';
-          pos := !pos + 5;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    Num (String.sub s start (!pos - start))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elements []
-      end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+let need = function Some v -> v | None -> raise Undecodable
+let get conv key j = need (Option.bind (Json.member key j) conv)
 
 (* [None] when the key is absent: journals written before the audit
    fields existed stay readable (format_version is unchanged — the
    fields are additive) *)
-let opt_field obj key =
-  match obj with
-  | Obj kvs -> List.assoc_opt key kvs
-  | _ -> raise (Malformed "expected an object")
+let get_opt conv key j = Option.map (fun v -> need (conv v)) (Json.member key j)
 
-let field obj key =
-  match obj with
-  | Obj kvs -> (
-    match List.assoc_opt key kvs with
-    | Some v -> v
-    | None -> raise (Malformed ("missing field " ^ key)))
-  | _ -> raise (Malformed "expected an object")
-
-let to_int = function
-  | Num raw -> (
-    match int_of_string_opt raw with
-    | Some i -> i
-    | None -> raise (Malformed ("not an integer: " ^ raw)))
-  | _ -> raise (Malformed "expected a number")
-
-let to_float = function
-  | Num raw -> (
-    match float_of_string_opt raw with
-    | Some f -> f
-    | None -> raise (Malformed ("not a number: " ^ raw)))
-  | _ -> raise (Malformed "expected a number")
-
-let to_string = function
-  | Str s -> s
-  | _ -> raise (Malformed "expected a string")
+let to_bool = function Json.Bool b -> Some b | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* journal lines *)
@@ -212,38 +50,29 @@ let refine_json (s : Ucp_refine.Explore.summary option) =
       (Report.json_string s.s_digest)
 
 let refine_of_json j : Ucp_refine.Explore.summary option =
-  match opt_field j "refine_mode" with
-  | None -> None
-  | Some mode ->
-    let s_mode =
-      match Ucp_refine.Mode.of_string (to_string mode) with
-      | Ok m -> m
-      | Error msg -> raise (Malformed msg)
-    in
-    Some
-      {
-        Ucp_refine.Explore.s_mode;
-        s_nc_before = to_int (field j "refine_nc_before");
-        s_nc_after = to_int (field j "refine_nc");
-        s_ah_gained = to_int (field j "refine_ah_gained");
-        s_am_gained = to_int (field j "refine_am_gained");
-        s_tau = to_int (field j "refine_tau");
-        s_miss_bound = to_int (field j "refine_miss_bound");
-        s_quant =
-          (match field j "refine_quant" with Null -> None | v -> Some (to_int v));
-        s_states = to_int (field j "refine_states");
-        s_budget_hit =
-          (match field j "refine_budget_hit" with
-          | Bool b -> b
-          | _ -> raise (Malformed "refine_budget_hit: expected a bool"));
-        (* additive: absent in journals written before the demotion
-           count existed *)
-        s_budget_exhausted =
-          (match opt_field j "refine_budget_exhausted" with
-          | Some v -> to_int v
-          | None -> 0);
-        s_digest = to_string (field j "refine_digest");
-      }
+  get_opt Json.to_str "refine_mode" j
+  |> Option.map (fun mode ->
+         {
+           Ucp_refine.Explore.s_mode =
+             need (Result.to_option (Ucp_refine.Mode.of_string mode));
+           s_nc_before = get Json.to_int "refine_nc_before" j;
+           s_nc_after = get Json.to_int "refine_nc" j;
+           s_ah_gained = get Json.to_int "refine_ah_gained" j;
+           s_am_gained = get Json.to_int "refine_am_gained" j;
+           s_tau = get Json.to_int "refine_tau" j;
+           s_miss_bound = get Json.to_int "refine_miss_bound" j;
+           s_quant =
+             (match need (Json.member "refine_quant" j) with
+             | Json.Null -> None
+             | v -> Some (need (Json.to_int v)));
+           s_states = get Json.to_int "refine_states" j;
+           s_budget_hit = get to_bool "refine_budget_hit" j;
+           (* additive: absent in journals written before the demotion
+              count existed *)
+           s_budget_exhausted =
+             Option.value ~default:0 (get_opt Json.to_int "refine_budget_exhausted" j);
+           s_digest = get Json.to_str "refine_digest" j;
+         })
 
 let measurement_json (m : Pipeline.measurement) =
   Printf.sprintf
@@ -255,16 +84,16 @@ let measurement_json (m : Pipeline.measurement) =
 
 let measurement_of_json j : Pipeline.measurement =
   {
-    Pipeline.tau = to_int (field j "tau");
-    acet = to_int (field j "acet");
-    energy_pj = to_float (field j "energy_pj");
-    miss_rate = to_float (field j "miss_rate");
-    executed = to_int (field j "executed");
-    demand_misses = to_int (field j "demand_misses");
-    wcet_miss_bound = to_int (field j "wcet_miss_bound");
-    ah = to_int (field j "ah");
-    am = to_int (field j "am");
-    nc = to_int (field j "nc");
+    Pipeline.tau = get Json.to_int "tau" j;
+    acet = get Json.to_int "acet" j;
+    energy_pj = get Json.to_float "energy_pj" j;
+    miss_rate = get Json.to_float "miss_rate" j;
+    executed = get Json.to_int "executed" j;
+    demand_misses = get Json.to_int "demand_misses" j;
+    wcet_miss_bound = get Json.to_int "wcet_miss_bound" j;
+    ah = get Json.to_int "ah" j;
+    am = get Json.to_int "am" j;
+    nc = get Json.to_int "nc" j;
     refine = refine_of_json j;
   }
 
@@ -277,15 +106,13 @@ let audit_json (a : Pipeline.audit) =
     Printf.sprintf {|,"audit_skipped":%s|} (Report.json_string reason)
 
 let audit_of_json j : Pipeline.audit =
-  match opt_field j "audit_checks" with
+  match get_opt Json.to_int "audit_checks" j with
   | Some checks ->
-    let seconds =
-      match opt_field j "audit_s" with Some s -> to_float s | None -> 0.0
-    in
-    Pipeline.Audited { checks = to_int checks; seconds }
+    let seconds = Option.value ~default:0.0 (get_opt Json.to_float "audit_s" j) in
+    Pipeline.Audited { checks; seconds }
   | None -> (
-    match opt_field j "audit_skipped" with
-    | Some reason -> Pipeline.Audit_skipped (to_string reason)
+    match get_opt Json.to_str "audit_skipped" j with
+    | Some reason -> Pipeline.Audit_skipped reason
     | None -> Pipeline.Not_audited)
 
 let record_line ~id (r : Experiments.record) =
@@ -306,42 +133,35 @@ let record_line ~id (r : Experiments.record) =
     (measurement_json r.Experiments.original)
     (measurement_json r.Experiments.optimized)
 
-let tech_of_label label =
-  match List.find_opt (fun t -> t.Tech.label = label) Tech.all with
-  | Some t -> t
-  | None -> raise (Malformed ("unknown technology " ^ label))
-
-let policy_of_name name =
-  match Ucp_policy.of_string name with
-  | Ok p -> p
-  | Error msg -> raise (Malformed msg)
+let tech_of_label label = List.find_opt (fun t -> t.Tech.label = label) Tech.all
 
 let parse_line line =
-  match parse line with
-  | exception Malformed _ -> None
-  | j -> (
+  match Json.parse line with
+  | Error _ -> None
+  | Ok j -> (
     try
-      let id = to_string (field j "case") in
+      let id = get Json.to_str "case" j in
       let record =
         {
-          Experiments.program_name = to_string (field j "program");
-          config_id = to_string (field j "config_id");
+          Experiments.program_name = get Json.to_str "program" j;
+          config_id = get Json.to_str "config_id" j;
           config =
             Config.make
-              ~assoc:(to_int (field j "assoc"))
-              ~block_bytes:(to_int (field j "block_bytes"))
-              ~capacity:(to_int (field j "capacity"));
-          tech = tech_of_label (to_string (field j "tech"));
-          policy = policy_of_name (to_string (field j "policy"));
-          original = measurement_of_json (field j "original");
-          optimized = measurement_of_json (field j "optimized");
-          prefetches = to_int (field j "prefetches");
-          rejected = to_int (field j "rejected");
+              ~assoc:(get Json.to_int "assoc" j)
+              ~block_bytes:(get Json.to_int "block_bytes" j)
+              ~capacity:(get Json.to_int "capacity" j);
+          tech = need (tech_of_label (get Json.to_str "tech" j));
+          policy =
+            need (Result.to_option (Ucp_policy.of_string (get Json.to_str "policy" j)));
+          original = measurement_of_json (need (Json.member "original" j));
+          optimized = measurement_of_json (need (Json.member "optimized" j));
+          prefetches = get Json.to_int "prefetches" j;
+          rejected = get Json.to_int "rejected" j;
           audit = audit_of_json j;
         }
       in
       Some (id, record)
-    with Malformed _ | Invalid_argument _ -> None)
+    with Undecodable | Invalid_argument _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* grid fingerprint *)
@@ -401,15 +221,17 @@ let replay path ~fingerprint tbl =
   match read_lines path with
   | [] | (exception Sys_error _) -> ()
   | header :: rest ->
-    (match parse header with
-    | exception Malformed _ ->
+    (match Json.parse header with
+    | Error _ ->
       failwith (Printf.sprintf "Checkpoint.start: %s: unreadable journal header" path)
-    | j ->
-      let v = try to_int (field j "ucp_checkpoint") with Malformed _ -> -1 in
-      if v <> format_version then
+    | Ok j ->
+      let v = Option.bind (Json.member "ucp_checkpoint" j) Json.to_int in
+      if v <> Some format_version then
         failwith
           (Printf.sprintf "Checkpoint.start: %s: unsupported journal version" path);
-      let fp = try to_string (field j "fingerprint") with Malformed _ -> "" in
+      let fp =
+        Option.value ~default:"" (Option.bind (Json.member "fingerprint" j) Json.to_str)
+      in
       if fp <> fingerprint then
         failwith
           (Printf.sprintf

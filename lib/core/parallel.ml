@@ -33,10 +33,10 @@ type pool = {
 
 exception Worker_died of string
 
-(* lazily registered so pools in metrics-off runs never touch the
-   registry; fed by the respawn path, surfaced by the serve daemon's
-   health query *)
-let worker_restarts_total = lazy (Ucp_obs.Metrics.counter "worker_restarts_total")
+(* registered on first use (an idempotent, mutex-guarded lookup, safe
+   from any domain); fed by the respawn path, surfaced by the serve
+   daemon's health query *)
+let worker_restarts_total () = Ucp_obs.Metrics.counter "worker_restarts_total"
 
 let default_jobs () =
   match Sys.getenv_opt "UCP_JOBS" with
@@ -104,7 +104,7 @@ let rec guarded_worker pool w =
     pool.pending <- pool.pending - 1;
     if pool.respawn && not pool.closed then begin
       pool.restarts <- pool.restarts + 1;
-      Ucp_obs.Metrics.incr (Lazy.force worker_restarts_total);
+      Ucp_obs.Metrics.incr (worker_restarts_total ());
       pool.alive <- pool.alive + 1;
       pool.workers <-
         Domain.spawn (fun () -> guarded_worker pool w) :: pool.workers
@@ -317,19 +317,18 @@ type sweep = {
 
 (* sweep-level instruments (registered on first use, so a sweep with
    metrics disabled never touches the registry) *)
-let case_seconds =
-  lazy
-    (Ucp_obs.Metrics.histogram "case_duration_seconds"
-       ~buckets:[| 0.01; 0.03; 0.1; 0.3; 1.0; 3.0; 10.0; 30.0; 100.0 |])
+let case_seconds () =
+  Ucp_obs.Metrics.histogram "case_duration_seconds"
+    ~buckets:[| 0.01; 0.03; 0.1; 0.3; 1.0; 3.0; 10.0; 30.0; 100.0 |]
 
-let gc_minor_words_total = lazy (Ucp_obs.Metrics.fcounter "gc_minor_words_total")
-let gc_major_words_total = lazy (Ucp_obs.Metrics.fcounter "gc_major_words_total")
+let gc_minor_words_total () = Ucp_obs.Metrics.fcounter "gc_minor_words_total"
+let gc_major_words_total () = Ucp_obs.Metrics.fcounter "gc_major_words_total"
 
-let gc_minor_collections_total =
-  lazy (Ucp_obs.Metrics.counter "gc_minor_collections_total")
+let gc_minor_collections_total () =
+  Ucp_obs.Metrics.counter "gc_minor_collections_total"
 
-let gc_major_collections_total =
-  lazy (Ucp_obs.Metrics.counter "gc_major_collections_total")
+let gc_major_collections_total () =
+  Ucp_obs.Metrics.counter "gc_major_collections_total"
 
 (* per-case Gc.quick_stat delta + wall-clock, recorded around the case
    body (including failed cases: a case that dies after allocating for
@@ -342,17 +341,17 @@ let observed_case f =
     Fun.protect
       ~finally:(fun () ->
         let g1 = Gc.quick_stat () in
-        Ucp_obs.Metrics.fadd (Lazy.force gc_minor_words_total)
+        Ucp_obs.Metrics.fadd (gc_minor_words_total ())
           (g1.Gc.minor_words -. g0.Gc.minor_words);
-        Ucp_obs.Metrics.fadd (Lazy.force gc_major_words_total)
+        Ucp_obs.Metrics.fadd (gc_major_words_total ())
           (g1.Gc.major_words -. g0.Gc.major_words);
         Ucp_obs.Metrics.add
-          (Lazy.force gc_minor_collections_total)
+          (gc_minor_collections_total ())
           (g1.Gc.minor_collections - g0.Gc.minor_collections);
         Ucp_obs.Metrics.add
-          (Lazy.force gc_major_collections_total)
+          (gc_major_collections_total ())
           (g1.Gc.major_collections - g0.Gc.major_collections);
-        Ucp_obs.Metrics.observe (Lazy.force case_seconds)
+        Ucp_obs.Metrics.observe (case_seconds ())
           (Unix.gettimeofday () -. t0))
       f
   end

@@ -54,11 +54,8 @@ let add_timings acc t =
 let total_timings t =
   t.analysis_s +. t.refine_s +. t.optimize_s +. t.simulate_s +. t.audit_s
 
-(* accumulate the wall-clock cost of [f] into one stage of [tm], and
-   record the stage as a trace span (span recording is independent of
-   whether a timings accumulator was supplied) *)
-let timed ~name tm add f =
-  let f () = Ucp_obs.Trace.with_span ~name f in
+(* accumulate the wall-clock cost of [f] into one stage of [tm] *)
+let stopwatch tm add f =
   match tm with
   | None -> f ()
   | Some tm ->
@@ -66,6 +63,10 @@ let timed ~name tm add f =
     let r = f () in
     add tm (Unix.gettimeofday () -. t0);
     r
+
+(* [stopwatch], and record the stage as a trace span (span recording is
+   independent of whether a timings accumulator was supplied) *)
+let timed ~name tm add f = stopwatch tm add (fun () -> Ucp_obs.Trace.with_span ~name f)
 
 let on_analysis tm d = tm.analysis_s <- tm.analysis_s +. d
 let on_refine tm d = tm.refine_s <- tm.refine_s +. d
@@ -93,7 +94,9 @@ let measure ?deadline ?(seed = 42) ?model:mdl ?wcet ?timed:tm
     match refine with
     | Refine_mode.Off -> None
     | mode ->
-      timed ~name:"refine" tm on_refine (fun () ->
+      (* Refine.run opens the one [refine] span itself (carrying the
+         mode), so the stage is timed here without a second span *)
+      stopwatch tm on_refine (fun () ->
           Refine.run ?deadline ~corrupt:corrupt_refine ~mode w)
   in
   let stats =

@@ -22,7 +22,9 @@ type gauge
 type histogram
 
 val counter : string -> counter
-(** Find-or-create the named int counter.
+(** Find-or-create the named int counter.  Safe to call at the use site
+    from any domain or thread: concurrent first uses register one
+    instrument.
     @raise Invalid_argument if the name is registered as another kind. *)
 
 val fcounter : string -> fcounter

@@ -57,7 +57,7 @@ let capacity_req = Atomic.make default_capacity
 
 (* total spans overwritten before export, across all rings *)
 let dropped_total = Atomic.make 0
-let dropped_metric = lazy (Metrics.counter "trace_spans_dropped_total")
+let dropped_metric () = Metrics.counter "trace_spans_dropped_total"
 
 (* every domain that ever recorded a span, so [spans]/[export] can
    collect buffers even after the worker domains have terminated *)
@@ -124,7 +124,7 @@ let append st s =
   else begin
     (* overwrote the oldest span *)
     Atomic.incr dropped_total;
-    Metrics.incr (Lazy.force dropped_metric)
+    Metrics.incr (dropped_metric ())
   end
 
 let with_span ~name ?(args = []) f =

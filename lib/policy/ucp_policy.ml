@@ -22,13 +22,6 @@ let of_string s =
 
 let pp ppf p = Fmt.string ppf (to_string p)
 
-(* Abstract per-set state: an association list [(block, age bound)]
-   sorted by block number.  For a must set the age is an upper bound on
-   the block's replacement age (smaller = safer); for a may set it is a
-   lower bound.  The meaning of "age" is policy-specific: LRU recency
-   position, FIFO insertion position, or the PLRU effective-LRU bound. *)
-type aset = (int * int) list
-
 (* Concrete per-set state.  [Order] is a recency/insertion queue,
    youngest first, used by LRU and FIFO.  [Tree] is the PLRU way array
    plus the packed tree bits (internal nodes heap-indexed from 1; bit =
@@ -78,56 +71,15 @@ let order_age lst mb =
   match lst with [] -> None | l -> go 0 l
 
 (* ---------------------------------------------------------------- *)
-(* Shared abstract helpers                                          *)
-(* ---------------------------------------------------------------- *)
-
-(* Ferdinand-style LRU set update, byte-for-byte the formula the seed
-   used in [Abstract.update_set]: the accessed block moves to age 0,
-   entries younger than its old age (bound) age by one, entries at or
-   beyond [assoc] fall out.  Identical for must and may sets. *)
-let lru_update_set ~assoc entries mb =
-  let old_age = try List.assoc mb entries with Not_found -> assoc in
-  let aged =
-    List.filter_map
-      (fun (x, a) ->
-        if x = mb then None
-        else
-          let a' = if a < old_age then a + 1 else a in
-          if a' >= assoc then None else Some (x, a'))
-      entries
-  in
-  List.sort compare ((mb, 0) :: aged)
-
-(* Must join: intersection, keeping the maximal (weakest) age bound. *)
-let join_must ea eb =
-  List.filter_map
-    (fun (x, a) ->
-      match List.assoc_opt x eb with
-      | Some b -> Some (x, max a b)
-      | None -> None)
-    ea
-
-(* May join: union, keeping the minimal (weakest) age lower bound. *)
-let join_may ea eb =
-  let merged =
-    List.fold_left
-      (fun acc (x, b) ->
-        match List.assoc_opt x acc with
-        | Some a -> (x, min a b) :: List.remove_assoc x acc
-        | None -> (x, b) :: acc)
-      ea eb
-  in
-  List.sort compare merged
-
-(* ---------------------------------------------------------------- *)
 (* Flat age-vector helpers (cacheaudit-style packed domains)        *)
 (* ---------------------------------------------------------------- *)
 
-(* [lru_update_set] on the packed representation: ages are stored in a
-   whole-universe int array with absence encoded as the saturation
-   value [cap]; only the accessed block's set members can change.
-   Entries younger than the accessed block's old age grow by one and
-   saturate at [cap] (eviction); the accessed block moves to 0. *)
+(* Ferdinand-style LRU update on the packed representation: ages are
+   stored in a whole-universe int array with absence encoded as the
+   saturation value [cap]; only the accessed block's set members can
+   change.  Entries younger than the accessed block's old age (bound)
+   grow by one and saturate at [cap] (eviction); the accessed block
+   moves to 0.  Identical for must and may states. *)
 let flat_lru_update ~cap ages members mb =
   let old_age = ages.(mb) in
   Array.iter
@@ -139,7 +91,8 @@ let flat_lru_update ~cap ages members mb =
     members;
   ages.(mb) <- 0
 
-(* [Fifo_policy.age_others ~drop:true] on the packed representation. *)
+(* FIFO aging: every other resident entry of the set grows by one,
+   saturating at [cap] (eviction). *)
 let flat_age_others ~cap ages members mb =
   Array.iter
     (fun x ->
@@ -148,25 +101,6 @@ let flat_age_others ~cap ages members mb =
         ages.(x) <- (if a' >= cap then cap else a')
       end)
     members
-
-(* Domain order with [join] as upper bound: [leq a b] iff every
-   concrete set state described by [a] is also described by [b].
-   Must: [b]'s guarantees are implied by [a]'s (each entry of [b] is in
-   [a] with an age bound no larger).  May: [a]'s possibilities are
-   contained in [b]'s (each entry of [a] is in [b] with an age lower
-   bound no larger). *)
-let aset_leq kind a b =
-  match kind with
-  | Must ->
-      List.for_all
-        (fun (x, ab) ->
-          match List.assoc_opt x a with Some aa -> aa <= ab | None -> false)
-        b
-  | May ->
-      List.for_all
-        (fun (x, aa) ->
-          match List.assoc_opt x b with Some ab -> ab <= aa | None -> false)
-        a
 
 (* ---------------------------------------------------------------- *)
 (* The policy signature                                             *)
@@ -203,24 +137,13 @@ module type POLICY = sig
   (** Policy-specific replacement age of a resident block (LRU/FIFO:
       queue position; PLRU: tree levels currently pointing at it). *)
 
-  (* Abstract must/may domain *)
-  val aset_update : kind -> assoc:int -> hint:hint -> aset -> int -> aset
-  (** Transfer a demand access.  [hint] is the classification of this
-      very access (from the analysis): policies whose aging depends on
-      hit/miss (FIFO) exploit it; LRU and PLRU ignore it.  Must be sound
-      for [Unknown] regardless. *)
-
-  val aset_fill : kind -> assoc:int -> hint:hint -> aset -> int -> aset
-  (** Transfer a prefetch fill; [hint] says whether the filled block is
-      known resident ([Hit]), known absent ([Miss]), or unknown. *)
-
-  val aset_join : kind -> aset -> aset -> aset
-  val aset_leq : kind -> aset -> aset -> bool
-
-  (* Flat age-vector view: packed whole-universe [ages] array, absence
-     encoded as [flat_cap]; [members] = universe blocks of the accessed
-     block's set.  Mutates [ages] in place; element-wise equivalent to
-     the aset_* transfers. *)
+  (* Abstract must/may domain on the flat age-vector view: packed
+     whole-universe [ages] array, absence encoded as [flat_cap];
+     [members] = universe blocks of the accessed block's set.  Mutates
+     [ages] in place.  [hint] is the classification of this very access
+     (from the analysis): policies whose aging depends on hit/miss
+     (FIFO) exploit it; LRU and PLRU ignore it.  Must be sound for
+     [Unknown] regardless. *)
   val flat_cap : kind -> assoc:int -> int
 
   val fset_update :
@@ -261,13 +184,6 @@ module Lru_policy : POLICY = struct
     | Order l -> order_age l mb
     | Tree _ -> invalid_arg "Lru: PLRU tree state"
 
-  let aset_update _kind ~assoc ~hint:_ entries mb = lru_update_set ~assoc entries mb
-  let aset_fill = aset_update
-
-  let aset_join kind ea eb =
-    match kind with Must -> join_must ea eb | May -> join_may ea eb
-
-  let aset_leq = aset_leq
   let flat_cap _kind ~assoc = assoc
 
   let fset_update _kind ~assoc ~hint:_ ~ages ~members mb =
@@ -331,35 +247,6 @@ module Fifo_policy : POLICY = struct
     | Order l -> order_age l mb
     | Tree _ -> invalid_arg "Fifo: PLRU tree state"
 
-  let age_others ~assoc ~drop entries mb =
-    List.filter_map
-      (fun (x, a) ->
-        if x = mb then None
-        else
-          let a' = a + 1 in
-          if drop && a' >= assoc then None else Some (x, a'))
-      entries
-
-  let aset_update kind ~assoc ~hint entries mb =
-    match (kind, hint) with
-    | _, Hit -> entries
-    | Must, Miss | May, Miss ->
-        List.sort compare ((mb, 0) :: age_others ~assoc ~drop:true entries mb)
-    | Must, Unknown ->
-        if List.mem_assoc mb entries then entries
-        else List.sort compare (age_others ~assoc ~drop:true entries mb)
-    | May, Unknown ->
-        let others = List.filter (fun (x, _) -> x <> mb) entries in
-        List.sort compare ((mb, 0) :: others)
-
-  (* A fill of a resident block leaves a FIFO queue unchanged and a
-     fill of an absent block inserts it, exactly like an access. *)
-  let aset_fill = aset_update
-
-  let aset_join kind ea eb =
-    match kind with Must -> join_must ea eb | May -> join_may ea eb
-
-  let aset_leq = aset_leq
   let flat_cap _kind ~assoc = assoc
 
   let fset_update kind ~assoc ~hint ~ages ~members mb =
@@ -372,6 +259,8 @@ module Fifo_policy : POLICY = struct
     | Must, Unknown -> if ages.(mb) >= cap then flat_age_others ~cap ages members mb
     | May, Unknown -> ages.(mb) <- 0
 
+  (* A fill of a resident block leaves a FIFO queue unchanged and a
+     fill of an absent block inserts it, exactly like an access. *)
   let fset_fill = fset_update
 end
 
@@ -482,20 +371,6 @@ module Plru_policy : POLICY = struct
      survive arbitrarily many misses), so the may domain only records
      which blocks were ever possibly inserted and never evicts —
      always-miss holds exactly for blocks that cannot be resident. *)
-  let aset_update kind ~assoc ~hint:_ entries mb =
-    match kind with
-    | Must -> lru_update_set ~assoc:(plru_must_assoc assoc) entries mb
-    | May ->
-        let others = List.filter (fun (x, _) -> x <> mb) entries in
-        List.sort compare ((mb, 0) :: others)
-
-  let aset_fill = aset_update
-
-  let aset_join kind ea eb =
-    match kind with Must -> join_must ea eb | May -> join_may ea eb
-
-  let aset_leq = aset_leq
-
   let flat_cap kind ~assoc =
     match kind with Must -> plru_must_assoc assoc | May -> assoc
 

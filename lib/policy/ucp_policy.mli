@@ -44,9 +44,6 @@ val of_string : string -> (id, string) result
 
 val pp : Format.formatter -> id -> unit
 
-type aset = (int * int) list
-(** Abstract per-set state: [(block, age bound)] sorted by block. *)
-
 type cset = Order of int list | Tree of { ways : int array; bits : int }
 (** Concrete per-set state: a recency/insertion queue (youngest first;
     LRU and FIFO) or the PLRU way array plus packed tree bits. *)
@@ -91,31 +88,18 @@ module type POLICY = sig
   (** Policy-specific replacement age of a resident block (LRU/FIFO:
       queue position; PLRU: tree levels currently pointing at it). *)
 
-  val aset_update : kind -> assoc:int -> hint:hint -> aset -> int -> aset
-  (** Transfer a demand access under the given classification hint. *)
+  (** {2 Abstract must/may transfers}
 
-  val aset_fill : kind -> assoc:int -> hint:hint -> aset -> int -> aset
-  (** Transfer a prefetch fill; the hint says whether the filled block
-      is known resident ([Hit]), known absent ([Miss]) or unknown. *)
-
-  val aset_join : kind -> aset -> aset -> aset
-  (** Control-flow join: must = intersection with maximal age bounds,
-      may = union with minimal age bounds. *)
-
-  val aset_leq : kind -> aset -> aset -> bool
-  (** Domain order with [aset_join] as an upper bound: [leq a b] iff
-      every concrete set state described by [a] is described by [b]. *)
-
-  (** {2 Flat age-vector view}
-
-      Cacheaudit-style packed representation of the same domains: one
-      [int array] over the whole memory-block universe, [ages.(mb)]
-      holding the block's age bound and absence encoded as the
-      saturation value {!flat_cap} (the policy/kind eviction
-      threshold).  [members] lists the universe blocks mapping to the
-      accessed block's cache set.  The transfers mutate [ages] in
-      place (the caller copies) and are element-wise equivalent to
-      their [aset_*] counterparts — qcheck-tested against them. *)
+      Cacheaudit-style packed age vectors, the one representation of
+      the abstract domains: one [int array] over the whole memory-block
+      universe, [ages.(mb)] holding the block's age bound and absence
+      encoded as the saturation value {!flat_cap} (the policy/kind
+      eviction threshold).  [members] lists the universe blocks mapping
+      to the accessed block's cache set.  The transfers mutate [ages]
+      in place (the caller copies).  Joins and the domain order are
+      pointwise on the vectors and live in [Ucp_cache.Abstract]; the
+      test suite checks every transfer against an executable
+      per-set association-list reference semantics. *)
 
   val flat_cap : kind -> assoc:int -> int
   (** Age value that encodes "absent" / "evicted": LRU and FIFO use the
@@ -124,11 +108,12 @@ module type POLICY = sig
 
   val fset_update :
     kind -> assoc:int -> hint:hint -> ages:int array -> members:int array -> int -> unit
-  (** Flat counterpart of [aset_update]. *)
+  (** Transfer a demand access under the given classification hint. *)
 
   val fset_fill :
     kind -> assoc:int -> hint:hint -> ages:int array -> members:int array -> int -> unit
-  (** Flat counterpart of [aset_fill]. *)
+  (** Transfer a prefetch fill; the hint says whether the filled block
+      is known resident ([Hit]), known absent ([Miss]) or unknown. *)
 end
 
 val find : id -> (module POLICY)

@@ -7,8 +7,6 @@ module Wcet = Ucp_wcet.Wcet
 module Classification = Ucp_wcet.Classification
 module Cacti = Ucp_energy.Cacti
 
-let optimizer_rounds_total = lazy (Ucp_obs.Metrics.counter "optimizer_rounds_total")
-
 type insertion = {
   target_uid : int;
   prefetch_uid : int;
@@ -155,18 +153,19 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
   let occs = occurrences view in
   let count_of_block = path_count_per_block w in
   let dom = Ucp_cfg.Dominators.compute program in
-  (* Chain-walk must states along the path (the J_SE join of Algorithm 2
-     reduces confluences to the WCET-path predecessor, so the walk is a
-     chain); Property 3 exposes each reference's replacement victims. *)
+  (* Chain-walk one must state along the path from the analysis' cold
+     state (the J_SE join of Algorithm 2 reduces confluences to the
+     WCET-path predecessor, so the walk is a chain and a single private
+     copy is updated in place); Property 3 exposes each reference's
+     replacement victims. *)
   let victims = Array.make view.len [] in
-  let policy = Analysis.policy analysis in
-  let st = ref (Abstract.empty ~policy config Abstract.Must) in
+  let st = Abstract.copy (Analysis.cold analysis Abstract.Must) in
   (* Classification hints for the chain-walked updates: the chain must
      state itself proves hits; otherwise fall back on the fixpoint
      analysis' per-slot classification.  LRU ignores hints (the walk is
      bit-identical to the seed); FIFO needs them to age soundly. *)
   let demand_hint i =
-    if Abstract.contains !st view.mem_block.(i) then Ucp_policy.Hit
+    if Abstract.contains st view.mem_block.(i) then Ucp_policy.Hit
     else
       match Analysis.classif analysis ~node:view.node.(i) ~pos:view.pos.(i) with
       | Classification.Always_hit -> Ucp_policy.Hit
@@ -174,17 +173,17 @@ let discover ?(placement = At_eviction) (w : Wcet.t) =
       | Classification.Not_classified -> Ucp_policy.Unknown
   in
   let fill_hint tb =
-    if Abstract.contains !st tb then Ucp_policy.Hit else Ucp_policy.Unknown
+    if Abstract.contains st tb then Ucp_policy.Hit else Ucp_policy.Unknown
   in
   for i = 0 to view.len - 1 do
     let hint = demand_hint i in
-    let demand_victims = Abstract.victims ~hint !st view.mem_block.(i) in
-    st := Abstract.update ~hint !st view.mem_block.(i);
+    let demand_victims = Abstract.victims ~hint st view.mem_block.(i) in
+    Abstract.update_ip ~hint st view.mem_block.(i);
     let fill_victims =
       if view.is_pf.(i) then begin
         let hint = fill_hint view.pf_target.(i) in
-        let v = Abstract.victims ~hint !st view.pf_target.(i) in
-        st := Abstract.fill ~hint !st view.pf_target.(i);
+        let v = Abstract.victims ~hint st view.pf_target.(i) in
+        Abstract.fill_ip ~hint st view.pf_target.(i);
         v
       end
       else []
@@ -529,7 +528,7 @@ let optimize ?deadline ?(placement = At_eviction) ?(max_insertions = 2000)
   in
   assert (tau_eff w <= tau_eff w0);
   assert (Program.prefetch_equivalent program p);
-  Ucp_obs.Metrics.add (Lazy.force optimizer_rounds_total) !rounds;
+  Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "optimizer_rounds_total") !rounds;
   {
     program = p;
     original = program;

@@ -46,15 +46,15 @@ type summary = {
   s_digest : string;
 }
 
-let refine_refs_total = lazy (Ucp_obs.Metrics.counter "refine_refs_total")
+let refine_refs_total () = Ucp_obs.Metrics.counter "refine_refs_total"
 
-let refine_reclassified_total =
-  lazy (Ucp_obs.Metrics.counter "refine_reclassified_total")
+let refine_reclassified_total () =
+  Ucp_obs.Metrics.counter "refine_reclassified_total"
 
-let refine_states_total = lazy (Ucp_obs.Metrics.counter "refine_states_total")
+let refine_states_total () = Ucp_obs.Metrics.counter "refine_states_total"
 
-let refine_budget_exhausted_total =
-  lazy (Ucp_obs.Metrics.counter "refine_budget_exhausted_total")
+let refine_budget_exhausted_total () =
+  Ucp_obs.Metrics.counter "refine_budget_exhausted_total"
 
 (* Deterministic digest over everything the refinement changed or
    concluded: the audit recomputes the exploration from the same
@@ -248,13 +248,13 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
     digest ~mode ~policy ~overrides ~tau ~miss_bound ~quant ~states:!states
       ~budget_hit:!budget_hit ~budget_exhausted:!budget_exhausted
   in
-  Ucp_obs.Metrics.add (Lazy.force refine_refs_total) (List.length !focus_all);
+  Ucp_obs.Metrics.add (refine_refs_total ()) (List.length !focus_all);
   Ucp_obs.Metrics.add
-    (Lazy.force refine_reclassified_total)
+    (refine_reclassified_total ())
     (List.length overrides);
-  Ucp_obs.Metrics.add (Lazy.force refine_states_total) !states;
+  Ucp_obs.Metrics.add (refine_states_total ()) !states;
   if !budget_hit then
-    Ucp_obs.Metrics.incr (Lazy.force refine_budget_exhausted_total);
+    Ucp_obs.Metrics.incr (refine_budget_exhausted_total ());
   let summary =
     {
       s_mode = mode;

@@ -61,19 +61,18 @@ let serve_latency tier =
     (Printf.sprintf "serve_latency_s{tier=%S}" tier)
     ~buckets:latency_buckets
 
-let store_read_s =
-  lazy
-    (Metrics.histogram "store_read_s"
-       ~buckets:[| 0.0001; 0.00025; 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1 |])
+let store_read_s () =
+  Metrics.histogram "store_read_s"
+    ~buckets:[| 0.0001; 0.00025; 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1 |]
 
-let m_requests = lazy (Metrics.counter "serve_requests_total")
-let m_cache_hits = lazy (Metrics.counter "serve_cache_hits_total")
-let m_cache_misses = lazy (Metrics.counter "serve_cache_misses_total")
-let m_store_hits = lazy (Metrics.counter "serve_store_hits_total")
-let m_computed = lazy (Metrics.counter "serve_computed_total")
-let m_shed = lazy (Metrics.counter "serve_shed_total")
-let m_slow = lazy (Metrics.counter "serve_slow_requests_total")
-let m_queue_depth = lazy (Metrics.gauge "serve_queue_depth")
+let m_requests () = Metrics.counter "serve_requests_total"
+let m_cache_hits () = Metrics.counter "serve_cache_hits_total"
+let m_cache_misses () = Metrics.counter "serve_cache_misses_total"
+let m_store_hits () = Metrics.counter "serve_store_hits_total"
+let m_computed () = Metrics.counter "serve_computed_total"
+let m_shed () = Metrics.counter "serve_shed_total"
+let m_slow () = Metrics.counter "serve_slow_requests_total"
+let m_queue_depth () = Metrics.gauge "serve_queue_depth"
 
 (* ------------------------------------------------------------------ *)
 (* server state *)
@@ -269,7 +268,7 @@ let compute t ~trace id (c : Experiments.case) key =
                   Store.put t.store ~id ~key line;
                   cache_add t id (line, json);
                   tally t (fun s -> s.computed_total <- s.computed_total + 1);
-                  Metrics.incr (Lazy.force m_computed);
+                  Metrics.incr (m_computed ());
                   P.Record { id; source = P.Computed; json; trace_id = trace }
                 | Error msg ->
                   P.Failed { retryable = false; message = msg; trace_id = trace }
@@ -300,7 +299,7 @@ let compute t ~trace id (c : Experiments.case) key =
    during an injected stall) *)
 let answer_case t ~trace id =
   tally t (fun s -> s.requests_total <- s.requests_total + 1);
-  Metrics.incr (Lazy.force m_requests);
+  Metrics.incr (m_requests ());
   match resolve_case id with
   | Error msg -> (P.Failed { retryable = false; message = msg; trace_id = trace }, "reject")
   | Ok c -> (
@@ -315,17 +314,17 @@ let answer_case t ~trace id =
       match Trace.with_span ~name:"cache_lookup" (fun () -> cache_find t id) with
       | Some (_, json) ->
         tally t (fun s -> s.cache_hits <- s.cache_hits + 1);
-        Metrics.incr (Lazy.force m_cache_hits);
+        Metrics.incr (m_cache_hits ());
         (P.Record { id; source = P.Memory; json; trace_id = trace }, "cache")
       | None -> (
         tally t (fun s -> s.cache_misses <- s.cache_misses + 1);
-        Metrics.incr (Lazy.force m_cache_misses);
+        Metrics.incr (m_cache_misses ());
         let key = Store.key ~refine:t.cfg.refine c in
         let from_store =
           Trace.with_span ~name:"store_lookup" (fun () ->
               let t0 = Unix.gettimeofday () in
               let found = Store.find t.store ~key in
-              Metrics.observe (Lazy.force store_read_s) (Unix.gettimeofday () -. t0);
+              Metrics.observe (store_read_s ()) (Unix.gettimeofday () -. t0);
               match found with
               | None -> None
               | Some line -> (
@@ -340,7 +339,7 @@ let answer_case t ~trace id =
         match from_store with
         | Some (line, json) ->
           tally t (fun s -> s.store_hits <- s.store_hits + 1);
-          Metrics.incr (Lazy.force m_store_hits);
+          Metrics.incr (m_store_hits ());
           cache_add t id (line, json);
           (P.Record { id; source = P.Store; json; trace_id = trace }, "store")
         | None ->
@@ -358,7 +357,7 @@ let answer_case t ~trace id =
                 end)
           in
           if not admitted then begin
-            Metrics.incr (Lazy.force m_shed);
+            Metrics.incr (m_shed ());
             ( P.Retry
                 {
                   after_s = 0.25;
@@ -455,7 +454,7 @@ let log_request t ~trace ~id ~tier ~outcome ~latency ~queue_depth =
   in
   Option.iter (fun l -> Ucp_obs.Access_log.write l (fields None)) t.alog;
   if latency >= t.cfg.slow_threshold_s then begin
-    Metrics.incr (Lazy.force m_slow);
+    Metrics.incr (m_slow ());
     Ucp_obs.Log.warn "[serve] slow request trace=%s id=%s tier=%s %.3fs" trace id
       tier latency;
     Option.iter
@@ -482,7 +481,7 @@ let serve_case t ~trace_id id =
   in
   let trace = Ctx.trace_hex ctx in
   let queue_depth = tally t (fun s -> s.inflight) in
-  Metrics.set (Lazy.force m_queue_depth) (float_of_int queue_depth);
+  Metrics.set (m_queue_depth ()) (float_of_int queue_depth);
   Ctx.with_ctx ctx (fun () ->
       Trace.with_span ~name:"request"
         ~args:[ ("id", Trace.Str id) ]

@@ -10,8 +10,8 @@ type t = {
   mutable corruptions_injected : int;
 }
 
-let store_quarantined_total =
-  lazy (Ucp_obs.Metrics.counter "store_quarantined_total")
+let store_quarantined_total () =
+  Ucp_obs.Metrics.counter "store_quarantined_total"
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -84,7 +84,7 @@ let decode content =
 
 let note_quarantined t =
   t.quarantined <- t.quarantined + 1;
-  Ucp_obs.Metrics.incr (Lazy.force store_quarantined_total)
+  Ucp_obs.Metrics.incr (store_quarantined_total ())
 
 (* a corrupt entry is never deleted: it is moved aside with its bytes
    intact, so a failure that keeps recurring can be examined, and the

@@ -48,8 +48,9 @@ let parse_literal c word value =
   end
   else error c "invalid literal (expected %s)" word
 
-let parse_string c =
-  expect c '"';
+(* general path: decode escapes byte by byte; [c.pos] is just past the
+   opening quote *)
+let parse_escaped c =
   let buf = Buffer.create 16 in
   let rec go () =
     match peek c with
@@ -102,28 +103,69 @@ let parse_string c =
   go ();
   Buffer.contents buf
 
-let parse_number c =
-  let start = c.pos in
-  let accept pred =
-    match peek c with Some ch when pred ch -> advance c; true | _ -> false
+let parse_string c =
+  expect c '"';
+  (* fast path: a string without escapes or control bytes (every key,
+     most values) is one substring *)
+  let src = c.src in
+  let rec plain i =
+    if i >= String.length src then None
+    else
+      match src.[i] with
+      | '"' -> Some i
+      | '\\' -> None
+      | ch when Char.code ch < 0x20 -> None
+      | _ -> plain (i + 1)
   in
-  let is_digit ch = ch >= '0' && ch <= '9' in
-  ignore (accept (fun ch -> ch = '-'));
-  if not (accept is_digit) then error c "malformed number";
-  while accept is_digit do () done;
-  if accept (fun ch -> ch = '.') then begin
-    if not (accept is_digit) then error c "malformed number (no digit after '.')";
-    while accept is_digit do () done
+  match plain c.pos with
+  | Some stop ->
+    let v = String.sub src c.pos (stop - c.pos) in
+    c.pos <- stop + 1;
+    v
+  | None -> parse_escaped c
+
+let parse_number c =
+  let src = c.src in
+  let n = String.length src in
+  let start = c.pos in
+  let digits () =
+    let first = c.pos in
+    while c.pos < n && src.[c.pos] >= '0' && src.[c.pos] <= '9' do
+      advance c
+    done;
+    c.pos - first
+  in
+  let negative = peek c = Some '-' in
+  if negative then advance c;
+  let int_start = c.pos in
+  if digits () = 0 then error c "malformed number";
+  let int_end = c.pos in
+  let integral = ref true in
+  if peek c = Some '.' then begin
+    integral := false;
+    advance c;
+    if digits () = 0 then error c "malformed number (no digit after '.')"
   end;
-  if accept (fun ch -> ch = 'e' || ch = 'E') then begin
-    ignore (accept (fun ch -> ch = '+' || ch = '-'));
-    if not (accept is_digit) then error c "malformed number (empty exponent)";
-    while accept is_digit do () done
+  if peek c = Some 'e' || peek c = Some 'E' then begin
+    integral := false;
+    advance c;
+    if peek c = Some '+' || peek c = Some '-' then advance c;
+    if digits () = 0 then error c "malformed number (empty exponent)"
   end;
-  let text = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt text with
-  | Some v -> Num v
-  | None -> error c "malformed number %S" text
+  if !integral && int_end - int_start <= 15 then begin
+    (* short integers are exact in a float: skip the strtod round trip
+       (journal and protocol lines are mostly small integers) *)
+    let v = ref 0 in
+    for i = int_start to int_end - 1 do
+      v := (!v * 10) + Char.code src.[i] - Char.code '0'
+    done;
+    Num (if negative then -.float_of_int !v else float_of_int !v)
+  end
+  else
+    let text = String.sub src start (c.pos - start) in
+    match float_of_string_opt text with
+    | Some v -> Num v
+    | None -> error c "malformed number %S" text
 
 let rec parse_value c =
   skip_ws c;

@@ -5,16 +5,14 @@ module Instr = Ucp_isa.Instr
 module Abstract = Ucp_cache.Abstract
 module Config = Ucp_cache.Config
 
-let fixpoint_iterations_total = lazy (Ucp_obs.Metrics.counter "fixpoint_iterations_total")
-
-type domain = Flat | Functional
-
 type t = {
   vivu : Vivu.t;
   layout : Layout.t;
   config : Config.t;
   policy : Ucp_policy.id;
   plain : bool;
+  cold_must : Abstract.t;
+  cold_may : Abstract.t;
   in_must : Abstract.t array;
   in_may : Abstract.t array;
   classif : Classification.t array array;
@@ -102,7 +100,7 @@ let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record node_id (must0, 
   (must, may)
 
 let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
-    ?(policy = Ucp_policy.Lru) ?(domain = Flat) vivu layout config =
+    ?(policy = Ucp_policy.Lru) vivu layout config =
   (* Plain analyses (no pinned/locked ways, no hardware next-N fills)
      are the only ones the witness-replay audit can certify; record the
      modes so the audit can report an honest [Skipped] verdict. *)
@@ -116,23 +114,15 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
   let with_may = with_may || Ucp_policy.needs_may policy in
   let n = Vivu.node_count vivu in
   let program = Vivu.program vivu in
+  (* Universe of the packed age vectors: the program's own id range
+     (dense — raw ids sit near the layout's anchor address) plus the
+     overshoot of hardware next-N fills past the program's end. *)
   let cold_must, cold_may =
-    match domain with
-    | Functional ->
-      ( Abstract.empty ~policy config Abstract.Must,
-        Abstract.empty ~policy config Abstract.May )
-    | Flat ->
-      (* Universe of the packed age vectors: the program's own id range
-         (dense — raw ids sit near the layout's anchor address) plus
-         the overshoot of hardware next-N fills past the program's
-         end. *)
-      let ids = Layout.mem_block_ids layout in
-      let base = match ids with [] -> 0 | mb :: _ -> mb in
-      let universe =
-        List.fold_left max base ids - base + hw_next_n + 2
-      in
-      ( Abstract.empty_flat ~policy ~base ~universe config Abstract.Must,
-        Abstract.empty_flat ~policy ~base ~universe config Abstract.May )
+    let ids = Layout.mem_block_ids layout in
+    let base = match ids with [] -> 0 | mb :: _ -> mb in
+    let universe = List.fold_left max base ids - base + hw_next_n + 2 in
+    ( Abstract.empty ~policy ~base ~universe config Abstract.Must,
+      Abstract.empty ~policy ~base ~universe config Abstract.May )
   in
   let out_states : (Abstract.t * Abstract.t) option array = Array.make n None in
   let in_states : (Abstract.t * Abstract.t) option array = Array.make n None in
@@ -184,9 +174,7 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
           end)
       topo)
   done;
-  Ucp_obs.Metrics.add
-    (Lazy.force fixpoint_iterations_total)
-    !passes;
+  Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "fixpoint_iterations_total") !passes;
   (* Final recording pass from converged in-states. *)
   let classif =
     Array.init n (fun node_id ->
@@ -209,13 +197,30 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
         (transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record:(Some classif)
            node_id input))
     topo;
-  { vivu; layout; config; policy; plain; in_must; in_may; classif; passes = !passes }
+  {
+    vivu;
+    layout;
+    config;
+    policy;
+    plain;
+    cold_must;
+    cold_may;
+    in_must;
+    in_may;
+    classif;
+    passes = !passes;
+  }
 
 let vivu t = t.vivu
 let layout t = t.layout
 let config t = t.config
 let policy t = t.policy
 let is_plain t = t.plain
+
+let cold t = function
+  | Abstract.Must -> t.cold_must
+  | Abstract.May -> t.cold_may
+
 let classif t ~node ~pos = t.classif.(node).(pos)
 let in_must t node = t.in_must.(node)
 let in_may t node = t.in_may.(node)

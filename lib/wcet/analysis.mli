@@ -9,20 +9,12 @@
 
 type t
 
-type domain = Flat | Functional
-(** Representation of the abstract cache states the fixpoint runs on:
-    packed cacheaudit-style age vectors ([Flat], the default) or the
-    per-set functional association lists ([Functional], the reference
-    semantics the flat domains are qcheck-tested against).  Same
-    classifications either way. *)
-
 val run :
   ?deadline:Ucp_util.Deadline.t ->
   ?with_may:bool ->
   ?hw_next_n:int ->
   ?pinned:(int -> bool) ->
   ?policy:Ucp_policy.id ->
-  ?domain:domain ->
   Ucp_cfg.Vivu.t ->
   Ucp_isa.Layout.t ->
   Ucp_cache.Config.t ->
@@ -70,6 +62,14 @@ val is_plain : t -> bool
 
 val classif : t -> node:int -> pos:int -> Classification.t
 (** Classification of an instruction slot of an expanded node. *)
+
+val cold : t -> Ucp_cache.Abstract.kind -> Ucp_cache.Abstract.t
+(** The analysis' cold (nothing resident) state of the given kind, over
+    the universe every state of this analysis shares: the layout's
+    memory-block id range plus the overshoot of hardware next-N fills.
+    Callers walking their own states from program entry (the
+    optimizer's candidate discovery) start from a {!Ucp_cache.Abstract.copy}
+    of it, so the universe rule lives in this module alone. *)
 
 val in_must : t -> int -> Ucp_cache.Abstract.t
 (** Sound must state on entry to a node (join over all predecessors). *)

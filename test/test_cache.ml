@@ -93,47 +93,67 @@ let test_copy_independent () =
   Alcotest.(check bool) "copy does not leak back" false (Concrete.contains c 4)
 
 (* ------------------------------------------------------------------ *)
+(* Abstract: the production age-vector domain over a universe covering
+   every block id the tests and generators use.  [update]/[fill] are the
+   persistent transfers a caller builds from [copy] and the in-place
+   ones. *)
+
+module Ref = Ucp_testlib.Ref_domain
+
+let universe = 64
+let empty ?policy config kind = Abstract.empty ?policy ~base:0 ~universe config kind
+
+let update ?hint t mb =
+  let t = Abstract.copy t in
+  Abstract.update_ip ?hint t mb;
+  t
+
+let fill ?hint t mb =
+  let t = Abstract.copy t in
+  Abstract.fill_ip ?hint t mb;
+  t
+
+(* ------------------------------------------------------------------ *)
 (* Abstract: unit behaviour *)
 
 let test_must_update_basics () =
   let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
-  let m = Abstract.empty config Abstract.Must in
-  let m = Abstract.update m 0 in
-  let m = Abstract.update m 2 in
+  let m = empty config Abstract.Must in
+  let m = update m 0 in
+  let m = update m 2 in
   Alcotest.(check (option int)) "recent age 0" (Some 0) (Abstract.age m 2);
   Alcotest.(check (option int)) "older age 1" (Some 1) (Abstract.age m 0);
-  let m = Abstract.update m 4 in
+  let m = update m 4 in
   Alcotest.(check bool) "evicted from must" false (Abstract.contains m 0)
 
 let test_must_join_intersects () =
   let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
-  let a = Abstract.update (Abstract.empty config Abstract.Must) 0 in
-  let b = Abstract.update (Abstract.empty config Abstract.Must) 2 in
+  let a = update (empty config Abstract.Must) 0 in
+  let b = update (empty config Abstract.Must) 2 in
   let j = Abstract.join a b in
   Alcotest.(check bool) "intersection empty" true (Abstract.blocks j = [])
 
 let test_must_join_max_age () =
   let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
-  let a = Abstract.update (Abstract.empty config Abstract.Must) 0 in
+  let a = update (empty config Abstract.Must) 0 in
   (* in b, 0 is older *)
-  let b =
-    Abstract.update (Abstract.update (Abstract.empty config Abstract.Must) 0) 2
-  in
+  let b = update (update (empty config Abstract.Must) 0) 2 in
   let j = Abstract.join a b in
   Alcotest.(check (option int)) "max age kept" (Some 1) (Abstract.age j 0)
 
 let test_may_join_unions () =
   let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
-  let a = Abstract.update (Abstract.empty config Abstract.May) 0 in
-  let b = Abstract.update (Abstract.empty config Abstract.May) 2 in
+  let a = update (empty config Abstract.May) 0 in
+  let b = update (empty config Abstract.May) 2 in
   let j = Abstract.join a b in
   Alcotest.(check (list int)) "union" [ 0; 2 ] (Abstract.blocks j)
 
 let test_victims () =
   let config = cfg ~assoc:2 ~block:16 ~cap:32 () in
-  let m = Abstract.update (Abstract.update (Abstract.empty config Abstract.Must) 0) 2 in
+  let m = update (update (empty config Abstract.Must) 0) 2 in
   Alcotest.(check (list int)) "victim is the oldest" [ 0 ] (Abstract.victims m 4);
-  Alcotest.(check (list int)) "no victim on refresh" [] (Abstract.victims m 2)
+  Alcotest.(check (list int)) "no victim on refresh" [] (Abstract.victims m 2);
+  Alcotest.(check (option int)) "query leaves the state alone" (Some 1) (Abstract.age m 0)
 
 let test_join_kind_mismatch () =
   let config = cfg () in
@@ -141,10 +161,22 @@ let test_join_kind_mismatch () =
     (try
        ignore
          (Abstract.join
-            (Abstract.empty config Abstract.Must)
-            (Abstract.empty config Abstract.May));
+            (empty config Abstract.Must)
+            (empty config Abstract.May));
        false
      with Invalid_argument _ -> true)
+
+let test_universe_checks () =
+  let config = cfg () in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let a = empty config Abstract.Must in
+  let b = Abstract.empty ~base:1 ~universe config Abstract.Must in
+  Alcotest.(check bool) "universe mismatch raises" true
+    (raises (fun () -> Abstract.join a b));
+  Alcotest.(check bool) "block outside the universe raises" true
+    (raises (fun () -> Abstract.contains a universe));
+  Alcotest.(check bool) "empty universe raises" true
+    (raises (fun () -> Abstract.empty ~base:0 ~universe:0 config Abstract.Must))
 
 (* ------------------------------------------------------------------ *)
 (* Persistence *)
@@ -241,7 +273,7 @@ let run_concrete config seq =
   c
 
 let run_abstract config kind seq =
-  List.fold_left Abstract.update (Abstract.empty config kind) seq
+  List.fold_left update (empty config kind) seq
 
 let prop_must_sound =
   QCheck2.Test.make ~name:"must state is a subset of the concrete cache" ~count:400
@@ -301,12 +333,12 @@ let prop_must_hits_are_hits =
     QCheck2.Gen.(pair Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence)
     (fun (config, seq) ->
       let c = Concrete.create config in
-      let m = ref (Abstract.empty config Abstract.Must) in
+      let m = ref (empty config Abstract.Must) in
       List.for_all
         (fun mb ->
           let predicted_hit = Abstract.contains !m mb in
           let actual = Concrete.access c mb in
-          m := Abstract.update !m mb;
+          m := update !m mb;
           (not predicted_hit) || actual = Concrete.Hit)
         seq)
 
@@ -315,12 +347,12 @@ let prop_may_misses_are_misses =
     QCheck2.Gen.(pair Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence)
     (fun (config, seq) ->
       let c = Concrete.create config in
-      let m = ref (Abstract.empty config Abstract.May) in
+      let m = ref (empty config Abstract.May) in
       List.for_all
         (fun mb ->
           let predicted_miss = not (Abstract.contains !m mb) in
           let actual = Concrete.access c mb in
-          m := Abstract.update !m mb;
+          m := update !m mb;
           (not predicted_miss) || actual <> Concrete.Hit)
         seq)
 
@@ -338,8 +370,8 @@ let prop_policy_walk_sound policy =
     QCheck2.Gen.(pair Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence)
     (fun (config, seq) ->
       let c = Concrete.create ~policy config in
-      let must = ref (Abstract.empty ~policy config Abstract.Must) in
-      let may = ref (Abstract.empty ~policy config Abstract.May) in
+      let must = ref (empty ~policy config Abstract.Must) in
+      let may = ref (empty ~policy config Abstract.May) in
       let sound = ref true in
       List.iter
         (fun mb ->
@@ -351,8 +383,8 @@ let prop_policy_walk_sound policy =
             else Ucp_policy.Unknown
           in
           let actual = Concrete.access c mb in
-          must := Abstract.update ~hint !must mb;
-          may := Abstract.update ~hint !may mb;
+          must := update ~hint !must mb;
+          may := update ~hint !may mb;
           if predicted_hit && actual <> Concrete.Hit then sound := false;
           if predicted_miss && actual = Concrete.Hit then sound := false)
         seq;
@@ -373,8 +405,8 @@ let prop_policy_fill_sound policy =
       (* interleave demand accesses and prefetch fills; the abstract
          fill transfer must keep the sandwich *)
       let c = Concrete.create ~policy config in
-      let must = ref (Abstract.empty ~policy config Abstract.Must) in
-      let may = ref (Abstract.empty ~policy config Abstract.May) in
+      let must = ref (empty ~policy config Abstract.Must) in
+      let may = ref (empty ~policy config Abstract.May) in
       let hint_for mb =
         if Abstract.contains !must mb then Ucp_policy.Hit
         else if not (Abstract.contains !may mb) then Ucp_policy.Miss
@@ -386,24 +418,24 @@ let prop_policy_fill_sound policy =
             let fb = List.nth fills (i mod List.length fills) in
             let fhint = hint_for fb in
             ignore (Concrete.fill c fb);
-            must := Abstract.fill ~hint:fhint !must fb;
-            may := Abstract.fill ~hint:fhint !may fb
+            must := fill ~hint:fhint !must fb;
+            may := fill ~hint:fhint !may fb
           end;
           let hint = hint_for mb in
           ignore (Concrete.access c mb);
-          must := Abstract.update ~hint !must mb;
-          may := Abstract.update ~hint !may mb)
+          must := update ~hint !must mb;
+          may := update ~hint !may mb)
         seq;
       List.for_all (fun mb -> Concrete.contains c mb) (Abstract.blocks !must)
       && List.for_all (fun mb -> Abstract.contains !may mb) (Concrete.contents c))
 
 (* ------------------------------------------------------------------ *)
-(* Representation equivalence: the flat age-vector domains must be
-   observationally identical to the functional reference — same
-   membership, ages, victims, joins and ordering after any interleaving
-   of updates and fills under any hints.  Blocks are shifted up to a
-   layout-like anchor so the dense [base] offset translation is on the
-   path. *)
+(* Reference equivalence: the age-vector domains must be observationally
+   identical to the per-set association-list reference semantics — same
+   membership, ages, victims (in the same ascending order), joins and
+   ordering after any interleaving of updates and fills under any
+   hints.  Blocks are shifted up to a layout-like anchor so the dense
+   [base] offset translation is on the path. *)
 
 let prop_flat_equiv policy =
   let pname = Ucp_policy.to_string policy in
@@ -417,81 +449,82 @@ let prop_flat_equiv policy =
         Ucp_testlib.gen_access_sequence)
     (fun (config, s1, s2) ->
       let s1 = List.map (( + ) shift) s1 and s2 = List.map (( + ) shift) s2 in
-      let agree func flat =
-        Abstract.blocks func = Abstract.blocks flat
+      let agree reference flat =
+        Ref.blocks reference = Abstract.blocks flat
         && List.for_all
              (fun idx ->
                let mb = shift + idx in
-               Abstract.age func mb = Abstract.age flat mb
-               && Abstract.contains func mb = Abstract.contains flat mb)
+               Ref.age reference mb = Abstract.age flat mb
+               && Ref.contains reference mb = Abstract.contains flat mb)
              (List.init universe Fun.id)
       in
       let hints = [| Ucp_policy.Hit; Ucp_policy.Miss; Ucp_policy.Unknown |] in
       let walk kind seq =
-        let step i (func, flat) mb =
+        let step i (reference, flat) mb =
           let hint = hints.(i mod 3) in
-          let sorted l = List.sort compare l in
-          if
-            sorted (Abstract.victims ~hint func mb)
-            <> sorted (Abstract.victims ~hint flat mb)
-          then failwith "victims diverge";
-          let f = if i mod 2 = 0 then Abstract.update else Abstract.fill in
-          let func = f ~hint func mb and flat = f ~hint flat mb in
-          if not (agree func flat) then failwith "states diverge";
-          (func, flat)
+          if Ref.victims ~hint reference mb <> Abstract.victims ~hint flat mb then
+            failwith "victims diverge";
+          let reference, flat =
+            if i mod 2 = 0 then (Ref.update ~hint reference mb, update ~hint flat mb)
+            else (Ref.fill ~hint reference mb, fill ~hint flat mb)
+          in
+          if not (agree reference flat) then failwith "states diverge";
+          (reference, flat)
         in
         List.fold_left
           (fun (i, st) mb -> (i + 1, step i st mb))
           ( 0,
-            ( Abstract.empty ~policy config kind,
-              Abstract.empty_flat ~policy ~base:shift ~universe config kind ) )
+            ( Ref.empty ~policy config kind,
+              Abstract.empty ~policy ~base:shift ~universe config kind ) )
           seq
         |> snd
       in
       List.for_all
         (fun kind ->
-          let func1, flat1 = walk kind s1 in
-          let func2, flat2 = walk kind s2 in
-          agree (Abstract.join func1 func2) (Abstract.join flat1 flat2)
-          && Abstract.leq func1 func2 = Abstract.leq flat1 flat2
-          && Abstract.leq func2 func1 = Abstract.leq flat2 flat1)
+          let ref1, flat1 = walk kind s1 in
+          let ref2, flat2 = walk kind s2 in
+          agree (Ref.join ref1 ref2) (Abstract.join flat1 flat2)
+          && Ref.leq ref1 ref2 = Abstract.leq flat1 flat2
+          && Ref.leq ref2 ref1 = Abstract.leq flat2 flat1)
         [ Abstract.Must; Abstract.May ])
 
-(* the destructive hot-loop variants are the same functions *)
+(* The analysis hot loop threads one private copy through a whole node
+   with the destructive transfers; the persistent style takes a fresh
+   copy per step.  Both must end in the same state, and no in-place
+   step may leak into a state it was copied from. *)
 let prop_flat_inplace_equiv policy =
   let pname = Ucp_policy.to_string policy in
-  let shift = 1 lsl 20 in
-  let universe = 14 in
   QCheck2.Test.make
     ~name:(pname ^ ": in-place updates match the persistent ones")
     ~count:300
     QCheck2.Gen.(pair Ucp_testlib.gen_config Ucp_testlib.gen_access_sequence)
     (fun (config, seq) ->
-      let seq = List.map (( + ) shift) seq in
       let hints = [| Ucp_policy.Hit; Ucp_policy.Miss; Ucp_policy.Unknown |] in
+      (* an immutable record of every block's age bound *)
+      let snapshot st = List.init universe (Abstract.age st) in
       List.for_all
         (fun kind ->
-          List.for_all
-            (fun mk ->
-              let pure = ref (mk kind) in
-              let ip = Abstract.copy (mk kind) in
-              List.iteri
-                (fun i mb ->
-                  let hint = hints.(i mod 3) in
-                  if i mod 2 = 0 then begin
-                    pure := Abstract.update ~hint !pure mb;
-                    Abstract.update_ip ~hint ip mb
-                  end
-                  else begin
-                    pure := Abstract.fill ~hint !pure mb;
-                    Abstract.fill_ip ~hint ip mb
-                  end)
-                seq;
-              Abstract.equal !pure ip)
-            [
-              Abstract.empty ~policy config;
-              Abstract.empty_flat ~policy ~base:shift ~universe config;
-            ])
+          let ip = Abstract.copy (empty ~policy config kind) in
+          let history = ref [] in
+          let pure =
+            List.fold_left
+              (fun (i, pure) mb ->
+                let hint = hints.(i mod 3) in
+                history := (pure, snapshot pure) :: !history;
+                if i mod 2 = 0 then begin
+                  Abstract.update_ip ~hint ip mb;
+                  (i + 1, update ~hint pure mb)
+                end
+                else begin
+                  Abstract.fill_ip ~hint ip mb;
+                  (i + 1, fill ~hint pure mb)
+                end)
+              (0, empty ~policy config kind)
+              seq
+            |> snd
+          in
+          Abstract.equal pure ip
+          && List.for_all (fun (st, ages) -> snapshot st = ages) !history)
         [ Abstract.Must; Abstract.May ])
 
 let () =
@@ -520,6 +553,7 @@ let () =
           Alcotest.test_case "may join unions" `Quick test_may_join_unions;
           Alcotest.test_case "victims" `Quick test_victims;
           Alcotest.test_case "kind mismatch" `Quick test_join_kind_mismatch;
+          Alcotest.test_case "universe checks" `Quick test_universe_checks;
         ] );
       ( "persistence",
         [

@@ -542,6 +542,84 @@ let test_checkpoint_record_roundtrip () =
   Alcotest.(check bool) "malformed line rejected" true
     (Checkpoint.parse_line "{\"case\":\"tr" = None)
 
+(* The journal codec is a fixpoint on hard values: 17-significant-digit
+   and subnormal floats, an escaped program name, both refine summary
+   shapes and an audit verdict survive record_line -> parse_line ->
+   record_line byte for byte; every truncation of a line and assorted
+   garbage decode to [None]. *)
+let test_checkpoint_line_fixpoint () =
+  let programs, configs, techs = tiny_grid () in
+  let s = Parallel.sweep ~programs ~configs ~techs ~jobs:1 () in
+  let id, base =
+    match s.Parallel.results with
+    | (id, Outcome.Ok r) :: _ -> (id, r)
+    | _ -> Alcotest.fail "tiny grid should be fault-free"
+  in
+  let summary quant =
+    {
+      Ucp_refine.Explore.s_mode = Ucp_refine.Mode.Nc;
+      s_nc_before = 9;
+      s_nc_after = 4;
+      s_ah_gained = 3;
+      s_am_gained = 2;
+      s_tau = 123_456_789;
+      s_miss_bound = 77;
+      s_quant = quant;
+      s_states = 4096;
+      s_budget_hit = true;
+      s_budget_exhausted = 1;
+      s_digest = "d\"q\\";
+    }
+  in
+  let r =
+    {
+      base with
+      Experiments.program_name = "we\"ird\\na\tme\001\n";
+      original =
+        {
+          base.Experiments.original with
+          Pipeline.energy_pj = 0.1 +. 0.2;
+          miss_rate = 4.9e-324;
+          refine = Some (summary (Some 12));
+        };
+      optimized =
+        {
+          base.Experiments.optimized with
+          Pipeline.energy_pj = 2.2250738585072009e-308;
+          miss_rate = 1.0 /. 3.0;
+          refine = Some (summary None);
+        };
+      audit = Pipeline.Audited { checks = 5; seconds = 123456.78901234567 };
+    }
+  in
+  let line = Checkpoint.record_line ~id r in
+  (match Checkpoint.parse_line line with
+  | Some (id', r') ->
+    Alcotest.(check string) "id round-trips" id id';
+    Alcotest.(check string) "line is a fixpoint" line (Checkpoint.record_line ~id:id' r');
+    Alcotest.(check bool) "subnormal survives" true
+      (r'.Experiments.original.Pipeline.miss_rate = 4.9e-324)
+  | None -> Alcotest.fail "hard record_line should parse back");
+  for len = 0 to String.length line - 1 do
+    if Checkpoint.parse_line (String.sub line 0 len) <> None then
+      Alcotest.failf "truncation to %d bytes decoded" len
+  done;
+  (* well-formed JSON with an ill-typed field: the first "tau" number
+     replaced by a string *)
+  let tau_as_string =
+    let key = {|"tau":|} in
+    let rec find i = if String.sub line i (String.length key) = key then i else find (i + 1) in
+    let i = find 0 + String.length key in
+    let rec skip j = match line.[j] with '0' .. '9' | '-' -> skip (j + 1) | _ -> j in
+    let j = skip i in
+    String.sub line 0 i ^ {|"x"|} ^ String.sub line j (String.length line - j)
+  in
+  List.iter
+    (fun garbage ->
+      Alcotest.(check bool) (Printf.sprintf "garbage %S rejected" garbage) true
+        (Checkpoint.parse_line garbage = None))
+    [ ""; "garbage"; "{}"; "[1,2]"; "null"; line ^ "x"; line ^ line; tau_as_string ]
+
 let test_sweep_checkpoint_resume () =
   let programs, configs, techs =
     let programs, _, techs = tiny_grid () in
@@ -822,6 +900,8 @@ let () =
           Alcotest.test_case "UCP_FAULT parsing" `Quick test_fault_env_parsing;
           Alcotest.test_case "checkpoint line round-trip" `Quick
             test_checkpoint_record_roundtrip;
+          Alcotest.test_case "checkpoint line fixpoint on hard values" `Quick
+            test_checkpoint_line_fixpoint;
           Alcotest.test_case "checkpoint resume skips journaled cases" `Quick
             test_sweep_checkpoint_resume;
           Alcotest.test_case "checkpoint fingerprint mismatch" `Quick

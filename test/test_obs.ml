@@ -247,6 +247,48 @@ let test_trace_ring_bounded () =
 (* ------------------------------------------------------------------ *)
 (* metrics *)
 
+(* Library modules register their instruments at the use site.  Force
+   the first use of two of them from several domains at once (a spin
+   barrier lines the domains up): every domain must get through — a
+   shared lazy handle raised [CamlinternalLazy.Undefined] here — and
+   the counters must hold the exact totals.  Runs first in this suite
+   so the registrations really are first uses. *)
+let test_concurrent_first_use () =
+  let domains = 8 in
+  Metrics.enable ();
+  Metrics.reset ();
+  let module Q = Ucp_lp.Rational in
+  let lp =
+    {
+      Ucp_lp.Simplex.num_vars = 1;
+      objective = [| Q.one |];
+      constraints = [ ([| Q.one |], Ucp_lp.Simplex.Le, Q.of_int 3) ];
+    }
+  in
+  let program = Ucp_workloads.Suite.find "fibcall" in
+  let config = Ucp_cache.Config.make ~assoc:2 ~block_bytes:16 ~capacity:64 in
+  let ready = Atomic.make 0 in
+  let ds =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < domains do
+              Domain.cpu_relax ()
+            done;
+            ignore (Ucp_lp.Simplex.maximize lp);
+            let w = Ucp_wcet.Wcet.compute program config Ucp_testlib.tiny_model in
+            Ucp_wcet.Analysis.fixpoint_passes w.Ucp_wcet.Wcet.analysis))
+  in
+  let passes = List.map Domain.join ds in
+  Metrics.disable ();
+  (match Metrics.find "simplex_pivots_total" with
+  | Some (Metrics.Counter n) -> Alcotest.(check bool) "pivots counted" true (n > 0)
+  | _ -> Alcotest.fail "simplex counter missing");
+  match Metrics.find "fixpoint_iterations_total" with
+  | Some (Metrics.Counter n) ->
+    Alcotest.(check int) "exact fixpoint passes" (List.fold_left ( + ) 0 passes) n
+  | _ -> Alcotest.fail "fixpoint counter missing"
+
 let test_metrics_contention () =
   let domains = 4 and iters = 10_000 in
   Metrics.enable ();
@@ -462,6 +504,11 @@ let test_log_levels () =
 let () =
   Alcotest.run "obs"
     [
+      ( "first-use",
+        [
+          Alcotest.test_case "library handles from 8 domains" `Quick
+            test_concurrent_first_use;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;

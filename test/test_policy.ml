@@ -11,6 +11,7 @@
 module Policy = Ucp_policy
 module Config = Ucp_cache.Config
 module Concrete = Ucp_cache.Concrete
+module Abstract = Ucp_cache.Abstract
 module Wcet = Ucp_wcet.Wcet
 module Analysis = Ucp_wcet.Analysis
 module Classification = Ucp_wcet.Classification
@@ -123,34 +124,26 @@ let test_plru_hit_protects () =
 let test_join_leq_laws () =
   List.iter
     (fun pid ->
-      let (module P : Policy.POLICY) = Policy.find pid in
-      let assoc = 4 in
-      let touch kind st mb hint = P.aset_update kind ~assoc ~hint st mb in
+      let config = one_set_config ~assoc:4 in
+      let walk kind blocks =
+        let st = Abstract.copy (Abstract.empty ~policy:pid ~base:0 ~universe:8 config kind) in
+        List.iter (fun mb -> Abstract.update_ip ~hint:Policy.Miss st mb) blocks;
+        st
+      in
+      let name = Policy.to_string pid in
       List.iter
         (fun kind ->
-          let a =
-            List.fold_left
-              (fun st mb -> touch kind st mb Policy.Miss)
-              [] [ 0; 1; 2 ]
-          in
-          let b =
-            List.fold_left
-              (fun st mb -> touch kind st mb Policy.Miss)
-              [] [ 2; 3 ]
-          in
-          let j = P.aset_join kind a b in
+          let a = walk kind [ 0; 1; 2 ] in
+          let b = walk kind [ 2; 3 ] in
+          let j = Abstract.join a b in
           Alcotest.(check bool)
-            (Printf.sprintf "%s %s: join is an upper bound (left)" P.name
+            (Printf.sprintf "%s %s: join is an upper bound (left)" name
                (match kind with Policy.Must -> "must" | Policy.May -> "may"))
-            true
-            (P.aset_leq kind a j);
+            true (Abstract.leq a j);
           Alcotest.(check bool)
-            (Printf.sprintf "%s: join upper bound (right)" P.name)
-            true
-            (P.aset_leq kind b j);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: leq reflexive" P.name)
-            true (P.aset_leq kind a a))
+            (Printf.sprintf "%s: join upper bound (right)" name)
+            true (Abstract.leq b j);
+          Alcotest.(check bool) (Printf.sprintf "%s: leq reflexive" name) true (Abstract.leq a a))
         [ Policy.Must; Policy.May ])
     Policy.all
 

@@ -228,6 +228,217 @@ let prop_bb_start_safe_bound =
       let stats = Simulator.run bb config model in
       Simulator.acet stats <= Wcet.tau_with_residual w)
 
+(* ------------------------------------------------------------------ *)
+(* candidate-discovery golden: the exact candidate list (every field, in
+   order) of a few small programs under each replacement policy, so a
+   change to the victim detection or the chain walk shows up here and
+   not only in sweep digests.  "conflict+pf" already carries accepted
+   prefetches, which puts the fill transfers on the walked path.
+   Rendering: node/block/pos<before_uid:target_uid@target_block
+   #use_position+gain*cost. *)
+
+let render_candidate (c : Optimizer.candidate) =
+  Printf.sprintf "%d/%d/%d<%d:%d@%d#%d+%d*%d" c.Optimizer.cand_insert_node
+    c.Optimizer.cand_insert_block c.Optimizer.cand_insert_pos c.Optimizer.cand_before_uid
+    c.Optimizer.cand_target_uid c.Optimizer.cand_target_block
+    c.Optimizer.cand_use_position c.Optimizer.cand_gain c.Optimizer.cand_cost
+
+let discover_golden =
+  [
+    ( "conflict",
+      "lru",
+      [
+        "6/4/4<14:5@1048573#28+17*10";
+        "4/1/1<1:13@1048575#24+17*10";
+      ] );
+    ( "conflict",
+      "fifo",
+      [
+        "6/4/4<14:5@1048573#28+17*10";
+        "4/1/1<1:13@1048575#24+17*10";
+      ] );
+    ( "conflict",
+      "plru",
+      [
+        "6/4/4<14:5@1048573#28+17*10";
+        "4/1/1<1:13@1048575#24+17*10";
+      ] );
+    ( "conflict+pf",
+      "lru",
+      [
+        "4/1/2<1:5@1048573#30+17*10";
+      ] );
+    ( "conflict+pf",
+      "fifo",
+      [
+        "4/1/2<1:5@1048573#30+17*10";
+      ] );
+    ( "conflict+pf",
+      "plru",
+      [
+        "4/1/2<1:5@1048573#30+17*10";
+      ] );
+    ("fibcall", "lru", []);
+    ("fibcall", "fifo", []);
+    ("fibcall", "plru", []);
+    ( "bs",
+      "lru",
+      [
+        "9/4/0<25:26@1048574#37+7*5";
+        "8/3/0<20:22@1048573#33+7*5";
+        "5/1/3<11:20@1048572#31+7*5";
+        "5/1/1<9:14@1048571#30+7*5";
+        "5/1/0<8:10@1048570#26+7*5";
+      ] );
+    ( "bs",
+      "fifo",
+      [
+        "9/4/0<25:26@1048574#37+7*5";
+        "5/1/3<11:18@1048572#34+7*5";
+        "5/1/2<10:25@1048573#36+7*5";
+        "5/1/1<9:14@1048571#30+7*5";
+        "5/1/0<8:10@1048570#26+7*5";
+      ] );
+    ( "bs",
+      "plru",
+      [
+        "9/4/0<25:26@1048574#37+7*5";
+        "8/3/0<20:22@1048573#33+7*5";
+        "5/1/3<11:20@1048572#31+7*5";
+        "5/1/1<9:14@1048571#30+7*5";
+        "5/1/0<8:10@1048570#26+7*5";
+      ] );
+    ( "crc",
+      "lru",
+      [
+        "13/2/0<31:36@1048561#135+509*256";
+        "9/4/19<69:84@1048573#127+509*256";
+        "9/4/15<65:80@1048572#123+509*256";
+        "9/4/3<53:68@1048569#111+509*256";
+        "9/4/1<51:64@1048568#107+509*256";
+        "7/1/5<21:52@1048565#95+509*256";
+        "7/1/1<17:50@1048564#93+509*256";
+        "7/1/0<16:20@1048557#82+509*256";
+      ] );
+    ( "crc",
+      "fifo",
+      [
+        "13/2/0<31:36@1048561#135+509*256";
+        "9/4/19<69:84@1048573#127+509*256";
+        "9/4/3<53:68@1048569#111+509*256";
+        "7/1/5<21:52@1048565#95+509*256";
+        "7/1/4<20:32@1048560#131+509*256";
+        "7/1/3<19:80@1048572#123+509*256";
+        "7/1/2<18:64@1048568#107+509*256";
+        "7/1/1<17:50@1048564#93+509*256";
+        "7/1/0<16:20@1048557#82+509*256";
+      ] );
+    ( "crc",
+      "plru",
+      [
+        "13/2/4<35:40@1048562#139+509*256";
+        "9/4/19<69:36@1048561#135+509*256";
+        "9/4/15<65:32@1048560#131+509*256";
+        "9/4/11<61:76@1048571#119+509*256";
+        "9/4/7<57:72@1048570#115+509*256";
+        "9/4/3<53:84@1048573#127+509*256";
+        "9/4/1<51:80@1048572#123+509*256";
+        "7/1/9<25:56@1048566#99+509*256";
+        "7/1/5<21:68@1048569#111+509*256";
+        "7/1/1<17:64@1048568#107+509*256";
+        "7/1/0<16:24@1048558#86+509*256";
+        "7/1/12<28:52@1048565#95+509*256";
+        "7/1/10<26:50@1048564#93+509*256";
+        "9/4/5<55:60@1048567#103+509*256";
+        "7/1/0<16:20@1048557#82+509*256";
+      ] );
+    ( "fft1",
+      "lru",
+      [
+        "32/3/0<45:54@1048559#261+187*128";
+        "28/8/14<103:121@1048575#251+187*128";
+        "28/8/1<90:102@1048571#238+187*128";
+        "26/2/7<39:89@1048567#225+187*128";
+        "26/2/1<33:38@1048555#218+187*128";
+        "27/4/1<61:66@1048562#273+13*8";
+        "11/1/7<31:94@1048569#175+13*8";
+        "11/1/3<27:90@1048568#171+13*8";
+        "11/1/1<25:89@1048567#170+13*8";
+        "11/1/0<24:34@1048554#159+13*8";
+        "11/1/1<25:30@1048553#155+13*8";
+        "11/1/0<24:26@1048552#151+13*8";
+      ] );
+    ( "fft1",
+      "fifo",
+      [
+        "27/4/1<61:66@1048562#273+13*8";
+        "11/1/7<31:94@1048569#175+13*8";
+        "11/1/6<30:58@1048560#210+13*8";
+        "11/1/5<29:106@1048572#187+13*8";
+        "11/1/4<28:90@1048568#171+13*8";
+        "11/1/3<27:42@1048556#167+13*8";
+        "11/1/0<24:34@1048554#159+13*8";
+        "11/1/1<25:30@1048553#155+13*8";
+        "11/1/0<24:26@1048552#151+13*8";
+      ] );
+    ( "fft1",
+      "plru",
+      [
+        "31/11/0<121:50@1048558#257+187*128";
+        "31/11/0<121:46@1048557#253+187*128";
+        "32/3/8<53:58@1048560#265+187*128";
+        "28/8/14<103:54@1048559#261+187*128";
+        "28/8/10<99:114@1048574#250+187*128";
+        "28/8/6<95:110@1048573#246+187*128";
+        "28/8/2<91:106@1048572#242+187*128";
+        "28/8/1<90:121@1048575#251+187*128";
+        "26/2/7<39:102@1048571#238+187*128";
+        "26/2/3<35:98@1048570#234+187*128";
+        "26/2/1<33:94@1048569#230+187*128";
+        "26/2/9<41:90@1048568#226+187*128";
+        "26/2/8<40:89@1048567#225+187*128";
+        "26/2/0<32:34@1048554#214+187*128";
+        "26/2/1<33:38@1048555#218+187*128";
+        "27/4/1<61:66@1048562#273+13*8";
+        "11/1/7<31:110@1048573#191+13*8";
+        "11/1/3<27:106@1048572#187+13*8";
+        "11/1/1<25:102@1048571#183+13*8";
+        "11/1/0<24:98@1048570#179+13*8";
+        "11/1/5<29:34@1048554#159+13*8";
+        "11/1/1<25:30@1048553#155+13*8";
+        "11/1/0<24:26@1048552#151+13*8";
+      ] );
+  ]
+
+let test_discover_golden () =
+  let mid = Config.make ~assoc:4 ~block_bytes:16 ~capacity:256 in
+  let prefetched =
+    (Optimizer.optimize ~overhead_budget:0.25 conflict_program config model).Optimizer.program
+  in
+  let suite name = Ucp_workloads.Suite.find name in
+  let programs =
+    [
+      ("conflict", conflict_program, config);
+      ("conflict+pf", prefetched, config);
+      ("fibcall", suite "fibcall", config);
+      ("bs", suite "bs", config);
+      ("crc", suite "crc", mid);
+      ("fft1", suite "fft1", mid);
+    ]
+  in
+  List.iter
+    (fun (name, policy, expected) ->
+      let _, program, cfg = List.find (fun (n, _, _) -> n = name) programs in
+      let policy =
+        match Ucp_policy.of_string policy with Ok p -> p | Error msg -> failwith msg
+      in
+      let w = Wcet.compute ~policy program cfg model in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s/%s" name (Ucp_policy.to_string policy))
+        expected
+        (List.map render_candidate (Optimizer.discover w)))
+    discover_golden
+
 let () =
   Alcotest.run "ucp_prefetch"
     [
@@ -247,6 +458,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_theorem1;
           QCheck_alcotest.to_alcotest prop_optimized_sim_within_wcet;
           QCheck_alcotest.to_alcotest prop_miss_bound_non_increase;
+          Alcotest.test_case "candidate golden" `Quick test_discover_golden;
         ] );
       ( "baselines",
         [

@@ -398,6 +398,26 @@ let prop_plru_competitive =
       plru <= lru)
 
 (* ------------------------------------------------------------------ *)
+(* tracing: one refinement, one [refine] span *)
+
+let test_one_refine_span () =
+  let tm = Pipeline.fresh_timings () in
+  Ucp_obs.Trace.start ();
+  let m =
+    Fun.protect ~finally:Ucp_obs.Trace.stop (fun () ->
+        Pipeline.measure ~timed:tm ~refine:Mode.Nc (Suite.find "fibcall")
+          (paper_config "k2") Tech.nm45)
+  in
+  let refine_spans =
+    List.filter (fun s -> s.Ucp_obs.Trace.span_name = "refine") (Ucp_obs.Trace.spans ())
+  in
+  Alcotest.(check bool) "the case was refined" true (m.Pipeline.refine <> None);
+  Alcotest.(check int) "exactly one refine span" 1 (List.length refine_spans);
+  Alcotest.(check bool) "the span carries the mode" true
+    (List.mem_assoc "mode" (List.hd refine_spans).Ucp_obs.Trace.args);
+  Alcotest.(check bool) "the refine stage is still timed" true (tm.Pipeline.refine_s > 0.0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "refine"
@@ -435,6 +455,8 @@ let () =
           Alcotest.test_case "corrupt-refine is caught" `Slow
             test_corrupt_refine_caught;
         ] );
+      ( "trace",
+        [ Alcotest.test_case "one refine span per refinement" `Quick test_one_refine_span ] );
       ( "quantitative",
         [
           Alcotest.test_case "analysis bound holds on the simulated run" `Slow

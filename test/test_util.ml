@@ -400,9 +400,66 @@ let prop_crc32_detects_flip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
       Crc32.string (Bytes.to_string b) <> Crc32.string s)
 
+(* ------------------------------------------------------------------ *)
+(* Json: the number and string decoders the checkpoint journal relies
+   on — %.17g floats and integers below 2^53 come back exactly, and
+   every byte string survives a write/read round trip *)
+
+module Json = Ucp_util.Json
+
+let prop_json_float_exact =
+  QCheck2.Test.make ~name:"json: %.17g floats parse back bit for bit" ~count:1000
+    QCheck2.Gen.(
+      oneof
+        [
+          float;
+          map Int64.float_of_bits ui64;
+          oneofl [ 0.0; -0.0; 4.9e-324; 2.2250738585072009e-308; 1e15; 1e16; 0.1 +. 0.2 ];
+        ])
+    (fun f ->
+      QCheck2.assume (Float.is_finite f);
+      match Json.parse (Printf.sprintf "%.17g" f) with
+      | Ok (Json.Num v) -> Int64.bits_of_float v = Int64.bits_of_float f
+      | _ -> false)
+
+let prop_json_int_exact =
+  QCheck2.Test.make ~name:"json: integers below 2^53 parse back exactly" ~count:1000
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range (-1_000_000) 1_000_000;
+          int_range (-(1 lsl 53)) (1 lsl 53);
+          oneofl [ 999_999_999_999_999; 1_000_000_000_000_000; (1 lsl 53) - 1 ];
+        ])
+    (fun n ->
+      match Json.parse (string_of_int n) with
+      | Ok v -> Json.to_int v = Some n
+      | Error _ -> false)
+
+let prop_json_string_roundtrip =
+  QCheck2.Test.make ~name:"json: any byte string round-trips" ~count:500
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 40))
+    (fun str -> Json.parse (Json.to_string (Json.Str str)) = Ok (Json.Str str))
+
+let test_json_rejects_malformed () =
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" bad) true
+        (Result.is_error (Json.parse bad)))
+    [ "-"; "1."; "1e"; "1e+"; "+1"; ".5"; "\"abc"; "\"a\\"; "\"\001\""; "[1,]"; "{\"a\"}"; "1 2" ];
+  Alcotest.(check bool) "negative zero keeps its sign" true
+    (match Json.parse "-0" with Ok (Json.Num v) -> 1.0 /. v = Float.neg_infinity | _ -> false)
+
 let () =
   Alcotest.run "ucp_util"
     [
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_float_exact;
+          QCheck_alcotest.to_alcotest prop_json_int_exact;
+          QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+          Alcotest.test_case "rejects malformed input" `Quick test_json_rejects_malformed;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

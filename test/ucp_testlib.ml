@@ -1,5 +1,8 @@
 (* Shared generators and helpers for the test suites. *)
 
+(* Executable reference semantics of the abstract cache domains. *)
+module Ref_domain = Ref_domain
+
 module Dsl = Ucp_workloads.Dsl
 module Config = Ucp_cache.Config
 module Cacti = Ucp_energy.Cacti
