@@ -212,6 +212,35 @@ if ! cmp -s "$obs_dir/traced.records" "$obs_dir/plain.records"; then
 fi
 echo "ci: observability smoke passed"
 
+# Record-identity gate: the analysis/optimizer hot path may get faster
+# but must not change a single record.  A small audited grid over all
+# three replacement policies (10 programs x 4 configs x 1 tech x
+# lru,fifo,plru = 120 cases) must reproduce, byte for byte, the record
+# lines pinned below (md5 of every non-summary line, with the audit
+# wall-clock audit_s masked to 0).  The digest was taken from the
+# round-robin fixpoint that the change-driven schedule replaced; only a
+# deliberate, documented change to the record stream may re-pin it.
+ident_dir=$(mktemp -d)
+trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$ident_dir"' EXIT
+ident_pinned=f86def55d45e90e1def701644875fd14
+
+dune exec --no-build bin/ucp.exe -- experiment \
+  --programs fft1,crc,fdct,st,bs,ndes,janne_complex,duff,matmult,ludcmp \
+  --configs k2,k5,k17,k29 --techs 45nm --policies lru,fifo,plru \
+  --audit full --jobs 2 --sweep-out "$ident_dir/grid.jsonl" \
+  >/dev/null 2>"$smoke_err" || {
+  echo "ci: record-identity gate: sweep failed" >&2
+  cat "$smoke_err" >&2
+  exit 1
+}
+ident_digest=$(grep -v '"summary"' "$ident_dir/grid.jsonl" \
+  | sed 's/"audit_s":[0-9.e-]*/"audit_s":0/' | md5sum | cut -d' ' -f1)
+if [ "$ident_digest" != "$ident_pinned" ]; then
+  echo "ci: record-identity gate: records digest $ident_digest, pinned $ident_pinned" >&2
+  exit 1
+fi
+echo "ci: record-identity gate passed"
+
 # Audit-speed smoke: full certification must ride along nearly free.
 # The certificate checks are linear passes (no re-solve), so on a
 # 24-case grid the audited wall stays within 3x of the unaudited one
@@ -220,7 +249,7 @@ echo "ci: observability smoke passed"
 # with the audit verdict fields stripped, are byte-identical to the
 # unaudited run's.
 speed_dir=$(mktemp -d)
-trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$speed_dir"' EXIT
+trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$ident_dir" "$speed_dir"' EXIT
 
 dune exec --no-build bin/ucp.exe -- experiment \
   --programs fft1,crc,st,fdct --configs k2,k5,k17 --jobs 2 \
@@ -266,7 +295,7 @@ echo "ci: audit-speed smoke passed (audited ${wall_audited}s vs unaudited ${wall
 # stripped, are byte-identical to an unrefined sweep's -- the base
 # fields always carry the unrefined figures.
 refine_dir=$(mktemp -d)
-trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$speed_dir" "$refine_dir"' EXIT
+trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$ident_dir" "$speed_dir" "$refine_dir"' EXIT
 
 status=0
 dune exec --no-build bin/ucp.exe -- experiment \
@@ -320,7 +349,7 @@ echo "ci: refinement smoke passed"
 # recovers every computed case from the store alone; and a graceful
 # shutdown exits 0.
 serve_dir=$(mktemp -d)
-trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$speed_dir" "$refine_dir" "$serve_dir"' EXIT
+trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$ident_dir" "$speed_dir" "$refine_dir" "$serve_dir"' EXIT
 UCP="./_build/default/bin/ucp.exe"
 SOCK="$serve_dir/ucp.sock"
 STORE="$serve_dir/store"
@@ -453,7 +482,7 @@ echo "ci: serve smoke passed"
 # baseline, an armed stall makes the same gate fail, and ucp
 # bench-check renders the same verdicts standalone.
 tel_dir=$(mktemp -d)
-trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$speed_dir" "$refine_dir" "$serve_dir" "$tel_dir"' EXIT
+trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$ident_dir" "$speed_dir" "$refine_dir" "$serve_dir" "$tel_dir"' EXIT
 TSOCK="$tel_dir/ucp.sock"
 
 UCP_FAULT='crc:k2:45nm:lru=stall-request:1.5' \
@@ -596,7 +625,7 @@ echo "ci: telemetry smoke passed"
 # shrunk and deposited as replayable reproducers -- with a tampered
 # entry proving the replay comparison actually bites.
 fuzz_dir=$(mktemp -d)
-trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$speed_dir" "$refine_dir" "$serve_dir" "$tel_dir" "$fuzz_dir"' EXIT
+trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$ident_dir" "$speed_dir" "$refine_dir" "$serve_dir" "$tel_dir" "$fuzz_dir"' EXIT
 
 # fixed seed, zero findings (exit 0), and a rerun is byte-identical
 # modulo the summary line (the only line carrying wall-clock)

@@ -238,7 +238,7 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
     end
   in
   let refined_analysis = Analysis.override_classif analysis overrides in
-  let refined_w = Wcet.of_analysis refined_analysis w.Wcet.model in
+  let refined_w = Wcet.reclassified w refined_analysis in
   let ah0, am0, nc0 = Analysis.classification_counts analysis in
   let ah1, am1, nc1 = Analysis.classification_counts refined_analysis in
   let quant = Quantitative.miss_bound ?deadline analysis in

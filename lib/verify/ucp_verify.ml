@@ -458,8 +458,8 @@ let replay_witness ?(seed = 42) (w : Wcet.t) =
      not exceed the abstract bound, and late-prefetch stalls may not
      exceed the residual charge (the d >= Lambda effectiveness
      obligation; exact when the residual is zero). *)
-  let bound = Wcet.tau_with_residual w in
   let residual = Wcet.residual_prefetch_stall w in
+  let bound = w.Wcet.tau + residual in
   if stats.Simulator.counts.Ucp_energy.Account.cycles > bound then
     fail "witness-tau-bound" "replayed witness cost %d cycles, bound is %d"
       stats.Simulator.counts.Ucp_energy.Account.cycles bound
@@ -477,9 +477,10 @@ let audit_trail ~(original : Wcet.t) ~(optimized : Wcet.t)
      claimed before/after figures must match without trusting its
      arithmetic.  tau_with_residual and miss_count_bound are invariant
      under with_may, so the pipeline's may-enabled analyses re-derive
-     the optimizer's may-free inner figures exactly. *)
-  let tau0 = Wcet.tau_with_residual original in
-  let tau1 = Wcet.tau_with_residual optimized in
+     the optimizer's may-free inner figures exactly.  The residual
+     stall is re-derived too, not read from the stored field. *)
+  let tau0 = original.Wcet.tau + Wcet.residual_prefetch_stall original in
+  let tau1 = optimized.Wcet.tau + Wcet.residual_prefetch_stall optimized in
   let m0 = Analysis.miss_count_bound original.Wcet.analysis in
   let m1 = Analysis.miss_count_bound optimized.Wcet.analysis in
   let* () =

@@ -17,6 +17,7 @@ type t = {
   in_may : Abstract.t array;
   classif : Classification.t array array;
   passes : int;
+  transfers : int;
 }
 
 let slot_mem_block_of layout ~block ~pos = Layout.mem_block layout ~block ~pos
@@ -38,24 +39,25 @@ let fill_hint ~with_may must may tb =
   else if with_may && not (Abstract.contains may tb) then Ucp_policy.Miss
   else Ucp_policy.Unknown
 
-(* Transfer one node: thread both states through its slots, optionally
-   recording per-slot classifications. *)
-let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record node_id (must0, may0) =
+(* Transfer one node: thread both states through its slots, recording
+   per-slot classifications into [classif].  With the may analysis off,
+   [may0] passes through untouched (it is the cold may state) — no copy,
+   no update. *)
+let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id (must0, may0) =
   let program = Vivu.program vivu in
   let nd = Vivu.node vivu node_id in
   let block = nd.Vivu.block in
   let n_slots = Program.slots program block in
+  let recorded = classif.(node_id) in
   (* one defensive copy per node, then destructive per-slot updates —
      the inputs stay usable as the node's recorded in-states *)
-  let must = Abstract.copy must0 and may = Abstract.copy may0 in
+  let must = Abstract.copy must0 in
+  let may = if with_may then Abstract.copy may0 else may0 in
   for pos = 0 to n_slots - 1 do
     let s = slot_mem_block_of layout ~block ~pos in
-    if pinned s then begin
+    if pinned s then
       (* locked way: guaranteed hit, no replacement-state effect *)
-      match record with
-      | Some classif -> classif.(node_id).(pos) <- Classification.Always_hit
-      | None -> ()
-    end
+      recorded.(pos) <- Classification.Always_hit
     else begin
       let cls =
         if Abstract.contains must s then Classification.Always_hit
@@ -63,9 +65,7 @@ let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record node_id (must0, 
           Classification.Always_miss
         else Classification.Not_classified
       in
-      (match record with
-      | Some classif -> classif.(node_id).(pos) <- cls
-      | None -> ());
+      recorded.(pos) <- cls;
       (* The classification of this very access is fed back into the
          abstract update as a hint: policies with outcome-dependent
          aging (FIFO) need it, LRU/PLRU ignore it. *)
@@ -124,10 +124,18 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
     ( Abstract.empty ~policy ~base ~universe config Abstract.Must,
       Abstract.empty ~policy ~base ~universe config Abstract.May )
   in
+  let classif =
+    Array.init n (fun node_id ->
+        let nd = Vivu.node vivu node_id in
+        Array.make
+          (max 1 (Program.slots program nd.Vivu.block))
+          Classification.Not_classified)
+  in
+  let in_must = Array.make n cold_must and in_may = Array.make n cold_may in
   let out_states : (Abstract.t * Abstract.t) option array = Array.make n None in
-  let in_states : (Abstract.t * Abstract.t) option array = Array.make n None in
   let entry = Vivu.entry vivu in
   let topo = Vivu.topo vivu in
+  let join_may y y' = if with_may then Abstract.join y y' else y in
   let join_in node_id =
     let preds = Vivu.all_pred vivu node_id in
     let avail = List.filter_map (fun p -> out_states.(p)) preds in
@@ -137,66 +145,77 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
     | (m0, y0) :: rest, is_entry ->
       let m, y =
         List.fold_left
-          (fun (m, y) (m', y') -> (Abstract.join m m', Abstract.join y y'))
+          (fun (m, y) (m', y') -> (Abstract.join m m', join_may y y'))
           (m0, y0) rest
       in
-      if is_entry then Some (Abstract.join m cold_must, Abstract.join y cold_may)
+      if is_entry then Some (Abstract.join m cold_must, join_may y cold_may)
       else Some (m, y)
   in
+  let transfers = ref 0 in
+  let transfer node_id input =
+    incr transfers;
+    in_must.(node_id) <- fst input;
+    in_may.(node_id) <- snd input;
+    transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id input
+  in
+  (* Change-driven round robin: passes walk [topo] as a plain
+     round-robin would, but a node is transferred only when a DAG or
+     iteration predecessor's output changed since its last transfer
+     ([dirty]) — re-transferring it would reproduce its output.  A
+     successor later in [topo] sees the change in the same pass, one
+     across an iteration edge in the next, exactly as under round
+     robin, so the sequence of states (and FIFO's hint-driven,
+     non-monotone post-fixpoint) is round robin's.  Classifications are
+     recorded by every transfer: a node's last transfer saw its final
+     input. *)
+  let dirty = Array.make n false in
+  let pending = ref 1 in
+  dirty.(entry) <- true;
+  let mark s =
+    if not dirty.(s) then begin
+      dirty.(s) <- true;
+      incr pending
+    end
+  in
   let passes = ref 0 in
-  let changed = ref true in
-  while !changed do
+  while !pending > 0 do
     incr passes;
     if !passes > n + 1000 then failwith "Analysis.run: fixpoint did not converge";
     Ucp_util.Deadline.check deadline;
-    changed := false;
     Ucp_obs.Trace.with_span ~name:"fixpoint-pass"
       ~args:[ ("pass", Ucp_obs.Trace.Int !passes) ] (fun () ->
     Array.iter
       (fun node_id ->
-        match join_in node_id with
-        | None -> ()
-        | Some input ->
-          in_states.(node_id) <- Some input;
-          let output =
-            transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record:None node_id
-              input
-          in
-          let same =
-            match out_states.(node_id) with
-            | None -> false
-            | Some (m, y) ->
-              Abstract.equal m (fst output) && Abstract.equal y (snd output)
-          in
-          if not same then begin
-            out_states.(node_id) <- Some output;
-            changed := true
-          end)
+        if dirty.(node_id) then begin
+          dirty.(node_id) <- false;
+          decr pending;
+          match join_in node_id with
+          | None -> ()
+          | Some input ->
+            let output = transfer node_id input in
+            let same =
+              match out_states.(node_id) with
+              | None -> false
+              | Some (m, y) ->
+                Abstract.equal m (fst output)
+                && ((not with_may) || Abstract.equal y (snd output))
+            in
+            if not same then begin
+              out_states.(node_id) <- Some output;
+              List.iter mark (Vivu.dag_succ vivu node_id);
+              List.iter mark (Vivu.iter_succ vivu node_id)
+            end
+        end)
       topo)
   done;
-  Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "fixpoint_iterations_total") !passes;
-  (* Final recording pass from converged in-states. *)
-  let classif =
-    Array.init n (fun node_id ->
-        let nd = Vivu.node vivu node_id in
-        Array.make
-          (max 1 (Program.slots program nd.Vivu.block))
-          Classification.Not_classified)
-  in
-  let in_must = Array.make n cold_must and in_may = Array.make n cold_may in
+  (* Nodes no state ever reaches are classified from the cold state. *)
   Array.iter
     (fun node_id ->
-      let input =
-        match in_states.(node_id) with
-        | Some s -> s
-        | None -> (cold_must, cold_may)
-      in
-      in_must.(node_id) <- fst input;
-      in_may.(node_id) <- snd input;
-      ignore
-        (transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~record:(Some classif)
-           node_id input))
+      if Option.is_none out_states.(node_id) then
+        ignore (transfer node_id (cold_must, cold_may)))
     topo;
+  Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "fixpoint_iterations_total") !passes;
+  Ucp_obs.Metrics.add (Ucp_obs.Metrics.counter "fixpoint_transfers_total") !transfers;
   {
     vivu;
     layout;
@@ -209,6 +228,7 @@ let run ?deadline ?(with_may = true) ?(hw_next_n = 0) ?pinned
     in_may;
     classif;
     passes = !passes;
+    transfers = !transfers;
   }
 
 let vivu t = t.vivu
@@ -277,3 +297,4 @@ let classification_counts t =
   (!ah, !am, !nc)
 
 let fixpoint_passes t = t.passes
+let transfers t = t.transfers

@@ -23,7 +23,19 @@ val run :
     which case unclassified references are reported [Not_classified]
     rather than [Always_miss] — the WCET bound is unchanged (both are
     charged as misses), and the optimizer's inner loop uses this to
-    halve the fixpoint cost.
+    halve the fixpoint cost: no may state is copied, updated or
+    joined, and every {!in_may} is the cold may state.
+
+    Schedule: passes walk [Vivu.topo] in order, transferring a node
+    only when the output of one of its DAG or iteration predecessors
+    changed since its last transfer (the entry is transferred first
+    from the cold state).  Within a pass a change reaches later nodes
+    at once and rest headers (across iteration edges) in the next
+    pass, so the sequence of states is plain round robin's and the
+    post-fixpoint is the same — also for FIFO, whose hint-driven
+    transfers are not monotone.  Classifications are recorded by every
+    transfer; nodes no state reaches are classified from the cold
+    state.
 
     [~policy] selects the replacement policy whose abstract domains are
     run (default LRU, bit-identical to the seed's analyses; see
@@ -101,4 +113,14 @@ val classification_counts : t -> int * int * int
     classification-precision counters reported by the sweep. *)
 
 val fixpoint_passes : t -> int
-(** Number of sweeps the fixpoint needed (diagnostics). *)
+(** Number of passes over the topological order the fixpoint ran
+    (diagnostics).  A pass runs only while some node awaits a transfer,
+    so there is no trailing pass that merely confirms convergence: a
+    run whose last changes stayed inside the topological order ends
+    with that pass. *)
+
+val transfers : t -> int
+(** Number of node transfers the run performed — the deterministic
+    work counter of the fixpoint.  A loop-free program costs exactly
+    [Vivu.node_count] transfers; loop bodies are re-transferred only
+    while their inputs still change. *)

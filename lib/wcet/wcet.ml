@@ -13,6 +13,7 @@ type t = {
   on_path : bool array;
   path : int array;
   tau : int;
+  residual : int;
 }
 
 let cycles_of model cls =
@@ -62,60 +63,6 @@ let longest_path vivu ~node_cycles =
   let rec walk id acc = if id = entry then id :: acc else walk best_pred.(id) (id :: acc) in
   (dist.(best_exit), Array.of_list (walk best_exit []))
 
-let of_analysis analysis model =
-  let vivu = Analysis.vivu analysis in
-  let program = Vivu.program vivu in
-  let n = Vivu.node_count vivu in
-  let slot_cycles =
-    Array.init n (fun node_id ->
-        let nd = Vivu.node vivu node_id in
-        let n_slots = Program.slots program nd.Vivu.block in
-        Array.init n_slots (fun pos ->
-            cycles_of model (Analysis.classif analysis ~node:node_id ~pos)))
-  in
-  let node_cycles = Array.map (Array.fold_left ( + ) 0) slot_cycles in
-  let tau, path = longest_path vivu ~node_cycles in
-  let on_path = Array.make n false in
-  Array.iter (fun id -> on_path.(id) <- true) path;
-  let n_w = Array.init n (fun id -> if on_path.(id) then Vivu.mult vivu id else 0) in
-  { analysis; model; slot_cycles; node_cycles; n_w; on_path; path; tau }
-
-let analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy program config =
-  let layout = Layout.make program ~block_bytes:config.Ucp_cache.Config.block_bytes in
-  let vivu = Vivu.expand program in
-  Analysis.run ?deadline ?with_may ?hw_next_n ?pinned ?policy vivu layout config
-
-let compute ?deadline ?with_may ?hw_next_n ?pinned ?policy program config model =
-  of_analysis (analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy program config) model
-
-let path_refs t =
-  let vivu = Analysis.vivu t.analysis in
-  let program = Vivu.program vivu in
-  let acc = ref [] in
-  Array.iter
-    (fun node_id ->
-      let nd = Vivu.node vivu node_id in
-      for pos = 0 to Program.slots program nd.Vivu.block - 1 do
-        acc := (node_id, pos) :: !acc
-      done)
-    t.path;
-  Array.of_list (List.rev !acc)
-
-let wcet_misses t =
-  let vivu = Analysis.vivu t.analysis in
-  let program = Vivu.program vivu in
-  let total = ref 0 in
-  Array.iter
-    (fun node_id ->
-      let nd = Vivu.node vivu node_id in
-      let n_slots = Program.slots program nd.Vivu.block in
-      for pos = 0 to n_slots - 1 do
-        if Classification.is_wcet_miss (Analysis.classif t.analysis ~node:node_id ~pos)
-        then total := !total + t.n_w.(node_id)
-      done)
-    t.path;
-  !total
-
 (* Sound residual bound: every execution of a prefetch can stall its
    first later access to the target block by at most
    Λ - (minimum number of intervening slots), because each slot costs
@@ -125,11 +72,11 @@ let wcet_misses t =
    paths and wrap-around uses across a loop's back edge, and it is
    weighted by the prefetch instance's full multiplicity, not just its
    WCET-path count. *)
-let residual_prefetch_stall t =
-  let analysis = t.analysis in
+let residual_of analysis model =
+  Ucp_obs.Metrics.incr (Ucp_obs.Metrics.counter "residual_stall_runs_total");
   let vivu = Analysis.vivu analysis in
   let program = Vivu.program vivu in
-  let lambda = t.model.Cacti.prefetch_latency in
+  let lambda = model.Cacti.prefetch_latency in
   let slots node = Program.slots program (Vivu.node vivu node).Vivu.block in
   (* shortest slot-distance from just after (node0, pos0) to any access
      of [target]; None when no path reaches one *)
@@ -193,7 +140,69 @@ let residual_prefetch_stall t =
   done;
   !total
 
-let tau_with_residual t = t.tau + residual_prefetch_stall t
+(* Timing + path of [analysis]; [residual] is the residual stall of
+   its layout, which classification overrides leave unchanged. *)
+let timed analysis model ~residual =
+  let vivu = Analysis.vivu analysis in
+  let program = Vivu.program vivu in
+  let n = Vivu.node_count vivu in
+  let slot_cycles =
+    Array.init n (fun node_id ->
+        let nd = Vivu.node vivu node_id in
+        let n_slots = Program.slots program nd.Vivu.block in
+        Array.init n_slots (fun pos ->
+            cycles_of model (Analysis.classif analysis ~node:node_id ~pos)))
+  in
+  let node_cycles = Array.map (Array.fold_left ( + ) 0) slot_cycles in
+  let tau, path = longest_path vivu ~node_cycles in
+  let on_path = Array.make n false in
+  Array.iter (fun id -> on_path.(id) <- true) path;
+  let n_w = Array.init n (fun id -> if on_path.(id) then Vivu.mult vivu id else 0) in
+  { analysis; model; slot_cycles; node_cycles; n_w; on_path; path; tau; residual }
+
+let of_analysis analysis model =
+  timed analysis model ~residual:(residual_of analysis model)
+
+let reclassified t analysis = timed analysis t.model ~residual:t.residual
+
+let analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy program config =
+  let layout = Layout.make program ~block_bytes:config.Ucp_cache.Config.block_bytes in
+  let vivu = Vivu.expand program in
+  Analysis.run ?deadline ?with_may ?hw_next_n ?pinned ?policy vivu layout config
+
+let compute ?deadline ?with_may ?hw_next_n ?pinned ?policy program config model =
+  of_analysis (analyze ?deadline ?with_may ?hw_next_n ?pinned ?policy program config) model
+
+let path_refs t =
+  let vivu = Analysis.vivu t.analysis in
+  let program = Vivu.program vivu in
+  let acc = ref [] in
+  Array.iter
+    (fun node_id ->
+      let nd = Vivu.node vivu node_id in
+      for pos = 0 to Program.slots program nd.Vivu.block - 1 do
+        acc := (node_id, pos) :: !acc
+      done)
+    t.path;
+  Array.of_list (List.rev !acc)
+
+let wcet_misses t =
+  let vivu = Analysis.vivu t.analysis in
+  let program = Vivu.program vivu in
+  let total = ref 0 in
+  Array.iter
+    (fun node_id ->
+      let nd = Vivu.node vivu node_id in
+      let n_slots = Program.slots program nd.Vivu.block in
+      for pos = 0 to n_slots - 1 do
+        if Classification.is_wcet_miss (Analysis.classif t.analysis ~node:node_id ~pos)
+        then total := !total + t.n_w.(node_id)
+      done)
+    t.path;
+  !total
+
+let residual_prefetch_stall t = residual_of t.analysis t.model
+let tau_with_residual t = t.tau + t.residual
 
 (* ------------------------------------------------------------------ *)
 (* Combinatorial flow certificate for tau (the audit fast path).

@@ -18,6 +18,10 @@ type t = {
   on_path : bool array;
   path : int array;  (** WCET path as expanded node ids, entry first *)
   tau : int;  (** τ_w: total memory contribution to the WCET, cycles *)
+  residual : int;
+      (** {!residual_prefetch_stall}, computed once when the value is
+          built — the optimizer's acceptance check reads it every
+          round *)
 }
 
 val compute :
@@ -52,6 +56,12 @@ val analyze :
 val of_analysis : Analysis.t -> Ucp_energy.Cacti.t -> t
 (** Timing + path on an existing analysis. *)
 
+val reclassified : t -> Analysis.t -> t
+(** [reclassified t a] is timing + path on [a], a reclassified copy of
+    [t]'s analysis ({!Analysis.override_classif}): same graph, layout
+    and model, so [t]'s residual stall carries over without a rerun of
+    its search. *)
+
 val longest_path : Ucp_cfg.Vivu.t -> node_cycles:int array -> int * int array
 (** [(tau, path)] of the weighted longest path, where each node costs
     [node_cycles.(id) * mult id].  Exposed for alternative timing
@@ -75,11 +85,13 @@ val residual_prefetch_stall : t -> int
     costs at least one cycle on any execution).  Near zero for
     programs optimized by the paper's criterion (Definition 10
     guarantees effectiveness in the WCET scenario); large for naive
-    baselines such as the basic-block-start inserter of [5]. *)
+    baselines such as the basic-block-start inserter of [5].  Every
+    call reruns the search (the audit's independent re-derivation);
+    the [residual] field holds the value computed when [t] was built. *)
 
 val tau_with_residual : t -> int
-(** [tau t + residual_prefetch_stall t] — the sound bound for programs
-    with unchecked prefetches. *)
+(** [tau t + residual t] — the sound bound for programs with unchecked
+    prefetches. *)
 
 (** {2 Combinatorial flow certificate (the audit fast path)} *)
 

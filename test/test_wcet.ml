@@ -233,6 +233,157 @@ let prop_witness_replay =
           Result.is_ok (Ucp_verify.replay_witness w))
         [ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ])
 
+(* ------------------------------------------------------------------ *)
+(* the change-driven fixpoint against the round-robin reference *)
+
+module Abstract = Ucp_cache.Abstract
+module Metrics = Ucp_obs.Metrics
+module Ref_fixpoint = Ucp_testlib.Ref_fixpoint
+
+(* Insert prefetches at generated (block, pos, target) picks, so the
+   prefetch-fill semantics is part of what the oracle compares. *)
+let with_prefetches p picks =
+  let uids = ref [] in
+  Program.iter_slots p (fun ~block:_ ~pos:_ ~instr -> uids := instr.Ucp_isa.Instr.uid :: !uids);
+  let uids = Array.of_list (List.rev !uids) in
+  List.fold_left
+    (fun p (b, i, t) ->
+      let block = b mod Program.block_count p in
+      let pos = i mod (Array.length (Program.block p block).Program.body + 1) in
+      fst (Program.insert_prefetch p ~block ~pos ~target_uid:uids.(t mod Array.length uids)))
+    p picks
+
+let gen_prefetched_program =
+  let open QCheck2.Gen in
+  let* p = Ucp_testlib.gen_program in
+  let* picks = list_size (int_bound 4) (triple nat nat nat) in
+  return (with_prefetches p picks)
+
+type fixpoint_case = {
+  fc_program : Program.t;
+  fc_config : Config.t;
+  fc_policy : Ucp_policy.id;
+  fc_with_may : bool;
+  fc_hw_next_n : int;
+  fc_pinned : bool;
+}
+
+let gen_fixpoint_case =
+  let open QCheck2.Gen in
+  let* fc_program = gen_prefetched_program in
+  let* fc_config = Ucp_testlib.gen_config in
+  let* fc_policy = oneofl [ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ] in
+  let* fc_with_may = bool in
+  let* fc_hw_next_n = int_bound 1 in
+  let* fc_pinned = bool in
+  return { fc_program; fc_config; fc_policy; fc_with_may; fc_hw_next_n; fc_pinned }
+
+let print_fixpoint_case c =
+  Printf.sprintf "%s @ %s policy=%s with_may=%b hw_next_n=%d pinned=%b"
+    (Ucp_testlib.print_program c.fc_program)
+    (Ucp_testlib.print_config c.fc_config)
+    (Ucp_policy.to_string c.fc_policy)
+    c.fc_with_may c.fc_hw_next_n c.fc_pinned
+
+let prop_fixpoint_matches_round_robin =
+  QCheck2.Test.make ~name:"change-driven fixpoint matches round robin" ~count:300
+    ~print:print_fixpoint_case gen_fixpoint_case (fun c ->
+      let p = c.fc_program in
+      let layout = Ucp_isa.Layout.make p ~block_bytes:c.fc_config.Config.block_bytes in
+      let vivu = Ucp_cfg.Vivu.expand p in
+      let pinned = if c.fc_pinned then Some (fun mb -> mb mod 5 = 0) else None in
+      let a =
+        Analysis.run ~with_may:c.fc_with_may ~hw_next_n:c.fc_hw_next_n ?pinned
+          ~policy:c.fc_policy vivu layout c.fc_config
+      in
+      let r =
+        Ref_fixpoint.run ~with_may:c.fc_with_may ~hw_next_n:c.fc_hw_next_n ?pinned
+          ~policy:c.fc_policy
+          ~cold:(Analysis.cold a Abstract.Must, Analysis.cold a Abstract.May)
+          vivu layout
+      in
+      let may_off = not (c.fc_with_may || Ucp_policy.needs_may c.fc_policy) in
+      let cold_may = Analysis.cold a Abstract.May in
+      let ok = ref true in
+      for node = 0 to Ucp_cfg.Vivu.node_count vivu - 1 do
+        let slots = Program.slots p (Ucp_cfg.Vivu.node vivu node).Ucp_cfg.Vivu.block in
+        for pos = 0 to slots - 1 do
+          if Analysis.classif a ~node ~pos <> r.Ref_fixpoint.classif.(node).(pos) then
+            ok := false
+        done;
+        if not (Abstract.equal (Analysis.in_must a node) r.Ref_fixpoint.in_must.(node))
+        then ok := false;
+        if not (Abstract.equal (Analysis.in_may a node) r.Ref_fixpoint.in_may.(node))
+        then ok := false;
+        if may_off && not (Abstract.equal (Analysis.in_may a node) cold_may) then
+          ok := false
+      done;
+      (* at most the reference's trailing no-change pass is saved, and
+         only transfers are dropped, never added *)
+      let passes = Analysis.fixpoint_passes a in
+      !ok
+      && passes <= r.Ref_fixpoint.passes
+      && passes >= r.Ref_fixpoint.passes - 1
+      && Analysis.transfers a <= r.Ref_fixpoint.transfers)
+
+let test_loop_free_transfers () =
+  (* every node's inputs settle before it is reached in topological
+     order, so each is transferred exactly once, in a single pass *)
+  let p =
+    Dsl.compile ~name:"dag"
+      [
+        Dsl.compute 5;
+        Dsl.if_ [ Dsl.compute 9 ] [ Dsl.compute 2; Dsl.if_ [ Dsl.compute 3 ] [ Dsl.compute 20 ] ];
+        Dsl.Far [ Dsl.compute 6 ];
+        Dsl.compute 4;
+      ]
+  in
+  Metrics.enable ();
+  Metrics.reset ();
+  let w = Wcet.compute p config model in
+  let transfers = Metrics.find "fixpoint_transfers_total" in
+  let residual_runs = Metrics.find "residual_stall_runs_total" in
+  Metrics.disable ();
+  let a = w.Wcet.analysis in
+  let n = Ucp_cfg.Vivu.node_count (Analysis.vivu a) in
+  Alcotest.(check int) "node_count transfers" n (Analysis.transfers a);
+  Alcotest.(check int) "one pass" 1 (Analysis.fixpoint_passes a);
+  Alcotest.(check bool) "transfer counter" true (transfers = Some (Metrics.Counter n));
+  Alcotest.(check bool) "one residual search" true
+    (residual_runs = Some (Metrics.Counter 1))
+
+(* ------------------------------------------------------------------ *)
+(* the stored residual stall is the function's value *)
+
+let residual_is_fresh w = w.Wcet.residual = Wcet.residual_prefetch_stall w
+
+let prop_stored_residual =
+  QCheck2.Test.make ~name:"stored residual equals a fresh search" ~count:100
+    ~print:Ucp_testlib.print_program gen_prefetched_program (fun p ->
+      residual_is_fresh (Wcet.compute p config model)
+      && residual_is_fresh (Wcet.compute ~with_may:false p config model))
+
+let test_optimizer_residual () =
+  List.iter
+    (fun name ->
+      let p = Ucp_workloads.Suite.find name in
+      let c = Config.make ~assoc:2 ~block_bytes:16 ~capacity:256 in
+      let r = Ucp_prefetch.Optimizer.optimize p c model in
+      Alcotest.(check bool) (name ^ ": prefetches inserted") true
+        (Program.prefetch_count r.Ucp_prefetch.Optimizer.program > 0);
+      let w = Wcet.compute ~with_may:false r.Ucp_prefetch.Optimizer.program c model in
+      Alcotest.(check int) (name ^ ": stored residual") (Wcet.residual_prefetch_stall w)
+        w.Wcet.residual;
+      Alcotest.(check int) (name ^ ": tau_after") r.Ucp_prefetch.Optimizer.tau_after
+        (Wcet.tau_with_residual w);
+      (* the refined copy reuses the residual of the layout it shares *)
+      match Ucp_refine.Explore.run ~mode:Ucp_refine.Mode.Nc w with
+      | None -> Alcotest.failf "%s: plain analysis not refined" name
+      | Some (_, w') ->
+        Alcotest.(check int) (name ^ ": refined residual")
+          (Wcet.residual_prefetch_stall w') w'.Wcet.residual)
+    [ "crc"; "fft1"; "fdct" ]
+
 let () =
   Alcotest.run "ucp_wcet"
     [
@@ -273,5 +424,15 @@ let () =
           Alcotest.test_case "replay on a suite case" `Quick
             test_witness_replay_policies;
           QCheck_alcotest.to_alcotest prop_witness_replay;
+        ] );
+      ( "fixpoint",
+        [
+          QCheck_alcotest.to_alcotest prop_fixpoint_matches_round_robin;
+          Alcotest.test_case "loop-free transfers" `Quick test_loop_free_transfers;
+        ] );
+      ( "residual",
+        [
+          QCheck_alcotest.to_alcotest prop_stored_residual;
+          Alcotest.test_case "optimizer's final program" `Quick test_optimizer_residual;
         ] );
     ]

@@ -3,6 +3,9 @@
 (* Executable reference semantics of the abstract cache domains. *)
 module Ref_domain = Ref_domain
 
+(* Executable reference schedule of the must/may fixpoint. *)
+module Ref_fixpoint = Ref_fixpoint
+
 module Dsl = Ucp_workloads.Dsl
 module Config = Ucp_cache.Config
 module Cacti = Ucp_energy.Cacti
