@@ -67,6 +67,39 @@ let refine_conv =
   in
   Arg.conv (parse, Ucp_refine.Mode.pp)
 
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg "expected a positive worker count")
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let timeout_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some t when t > 0.0 -> Ok t
+    | Some _ | None -> Error (`Msg "expected a positive number of seconds")
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let audit_conv =
+  let parse s =
+    match Ucp_verify.mode_of_string s with
+    | Ok m -> Ok m
+    | Error msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Ucp_verify.mode_to_string m))
+
+(* --jobs when given, else UCP_JOBS or the recommended domain count *)
+let resolve_jobs = function
+  | Some j -> j
+  | None -> (
+    try Ucp_core.Parallel.default_jobs ()
+    with Invalid_argument msg ->
+      Printf.eprintf "ucp: %s\n" msg;
+      exit 124)
+
 let program_arg =
   Arg.(
     required
@@ -225,6 +258,12 @@ let baselines_cmd =
     in
     row "latest-effective (ablation)" (Some (wcet_of streaming))
       (Simulator.run ~seed streaming config model);
+    (* a budget far above any real overhead share lifts the cap *)
+    let unbudgeted =
+      (Optimizer.optimize ~overhead_budget:1000.0 program config model).Optimizer.program
+    in
+    row "at-eviction, no overhead budget" (Some (wcet_of unbudgeted))
+      (Simulator.run ~seed unbudgeted config model);
     let bb = Baselines.bb_start program config model in
     row "bb-start [5]" (Some (wcet_of bb)) (Simulator.run ~seed bb config model);
     let lock = Baselines.lock_greedy program config model in
@@ -425,15 +464,7 @@ let experiment_cmd =
               exit 124)
           names
     in
-    let jobs =
-      match jobs with
-      | Some j -> j
-      | None -> (
-        try Ucp_core.Parallel.default_jobs ()
-        with Invalid_argument msg ->
-          Printf.eprintf "ucp: %s\n" msg;
-          exit 124)
-    in
+    let jobs = resolve_jobs jobs in
     let timeout =
       match timeout with
       | Some _ -> timeout
@@ -456,8 +487,9 @@ let experiment_cmd =
     in
     (* probe output paths before the (possibly hours-long) sweep so a
        bad --trace/--sweep-out path fails immediately instead of
-       discarding the finished run; the real writes are atomic or
-       whole-file, so an existing file is never left half-written *)
+       discarding the finished run; the sweep JSONL is then written
+       atomically (temp + fsync + rename), so a crash mid-write never
+       leaves the previous file half-overwritten *)
     List.iter
       (fun path ->
         match path with
@@ -503,16 +535,12 @@ let experiment_cmd =
     (match sweep_out with
     | None -> ()
     | Some path ->
-      let jsonl =
-        Report.sweep_jsonl ~wall_s:s.Ucp_core.Parallel.wall_s
-          ~jobs:s.Ucp_core.Parallel.jobs ~timings:s.Ucp_core.Parallel.timings
-          ~outcomes:s.Ucp_core.Parallel.results
-          ?metrics:(if metrics_dump = [] then None else Some metrics_dump)
-          records
-      in
-      let oc = open_out path in
-      output_string oc jsonl;
-      close_out oc;
+      Ucp_core.Checkpoint.write_atomic ~path
+        (Report.sweep_jsonl ~wall_s:s.Ucp_core.Parallel.wall_s
+           ~jobs:s.Ucp_core.Parallel.jobs ~timings:s.Ucp_core.Parallel.timings
+           ~outcomes:s.Ucp_core.Parallel.results
+           ?metrics:(if metrics_dump = [] then None else Some metrics_dump)
+           records);
       Printf.eprintf "[sweep] JSONL summary -> %s\n%!" path);
     let out =
       match figure with
@@ -531,6 +559,12 @@ let experiment_cmd =
         (Report.policy_outcome_summary ~policies s.Ucp_core.Parallel.results);
     if metrics_on then begin
       prerr_string (Report.metrics_table metrics_dump);
+      prerr_string
+        (Report.stage_table
+           [
+             ( String.concat "," (List.map Ucp_policy.to_string policies),
+               s.Ucp_core.Parallel.timings );
+           ]);
       if s.Ucp_core.Parallel.workers <> [||] then
         prerr_string
           (Report.worker_table ~wall_s:s.Ucp_core.Parallel.wall_s
@@ -549,14 +583,6 @@ let experiment_cmd =
       & opt (some int) None
       & info [ "figure" ] ~docv:"N" ~doc:"Reproduce a single figure (3,4,5,7,8).")
   in
-  let jobs_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg "expected a positive worker count")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   let jobs =
     Arg.(
       value
@@ -565,14 +591,6 @@ let experiment_cmd =
           ~doc:
             "Worker domains for the sweep (default: $(b,UCP_JOBS) if set, else \
              the recommended domain count).")
-  in
-  let timeout_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some t when t > 0.0 -> Ok t
-      | Some _ | None -> Error (`Msg "expected a positive number of seconds")
-    in
-    Arg.conv (parse, Format.pp_print_float)
   in
   let timeout =
     Arg.(
@@ -632,15 +650,6 @@ let experiment_cmd =
           ~doc:
             "Comma-separated replacement policies (lru, fifo, plru); each \
              multiplies the use-case grid (default lru).")
-  in
-  let audit_conv =
-    let parse s =
-      match Ucp_verify.mode_of_string s with
-      | Ok m -> Ok m
-      | Error msg -> Error (`Msg msg)
-    in
-    Arg.conv
-      (parse, fun ppf m -> Format.pp_print_string ppf (Ucp_verify.mode_to_string m))
   in
   let audit =
     Arg.(
@@ -800,7 +809,7 @@ let fuzz_cmd =
           c_techs = techs;
           c_refine = refine;
           c_refine_full_every = refine_full_every;
-          c_jobs = jobs;
+          c_jobs = Some (resolve_jobs jobs);
           c_timeout = timeout;
           c_corpus = corpus;
           c_chaos = chaos;
@@ -900,13 +909,16 @@ let fuzz_cmd =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains (default: all cores).")
+      & opt (some jobs_conv) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains (default: $(b,UCP_JOBS) if set, else the \
+             recommended domain count).")
   in
   let timeout =
     Arg.(
       value
-      & opt (some float) (Some 60.)
+      & opt (some timeout_conv) (Some 60.)
       & info [ "timeout" ] ~docv:"SECS"
           ~doc:"Per-case cooperative deadline (default 60).")
   in
@@ -1016,7 +1028,7 @@ let serve_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 2
+      value & opt jobs_conv 2
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker domains for cold evaluations (default 2).")
   in
@@ -1038,7 +1050,7 @@ let serve_cmd =
   let timeout =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some timeout_conv) None
       & info [ "timeout" ] ~docv:"SECS"
           ~doc:"Per-case cooperative deadline for daemon-side evaluation.")
   in
@@ -1467,6 +1479,66 @@ let top_cmd =
           the daemon's Prometheus metrics exposition.")
     Term.(const run $ socket_arg $ interval $ iterations)
 
+let bench_cmd =
+  let run trajectory out baseline jobs =
+    let out =
+      match (out, trajectory) with
+      | Some path, _ -> path
+      | None, `Audit -> "BENCH_6.json"
+      | None, `Refine -> "BENCH_8.json"
+      | None, `Serve -> "BENCH_10.json"
+    in
+    (match trajectory with
+    | `Audit -> Bench.audit_speed ~jobs:(resolve_jobs jobs) ~out
+    | `Refine -> Bench.refine_precision ~jobs:(resolve_jobs jobs) ~out
+    | `Serve -> Bench.serve_latency ~out);
+    Option.iter (fun baseline -> Bench.apply_baseline ~baseline ~current:out) baseline
+  in
+  let trajectory =
+    Arg.(
+      required
+      & pos 0
+          (some (enum [ ("audit", `Audit); ("refine", `Refine); ("serve", `Serve) ]))
+          None
+      & info [] ~docv:"TRAJECTORY"
+          ~doc:
+            "$(b,audit) (certification cost, BENCH_6.json), $(b,refine) \
+             (refinement precision, BENCH_8.json) or $(b,serve) (daemon \
+             latency per tier, BENCH_10.json).")
+  in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out" ] ~docv:"PATH"
+          ~doc:"Write the trajectory there instead of the tracked BENCH_*.json.")
+  in
+  let baseline =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "baseline" ] ~docv:"FILE"
+          ~doc:
+            "Gate the written trajectory against $(docv) with the \
+             $(b,bench-check) tolerance band.")
+  in
+  let jobs =
+    Arg.(
+      value
+      & opt (some jobs_conv) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains of the audit and refine sweeps (default: \
+             $(b,UCP_JOBS) if set, else the recommended domain count).")
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate one tracked benchmark trajectory.  Exits 0 when done, 1 \
+          when the trajectory's own check fails, 5 when $(b,--baseline) \
+          reports a regression, 124 on bad arguments.")
+    Term.(const run $ trajectory $ out $ baseline $ jobs)
+
 let bench_check_cmd =
   let run baseline current factor slack =
     match
@@ -1541,6 +1613,7 @@ let () =
             serve_cmd;
             query_cmd;
             top_cmd;
+            bench_cmd;
             bench_check_cmd;
             trace_cmd;
           ]))

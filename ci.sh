@@ -576,9 +576,7 @@ cmp -s "$tel_dir/access2.stripped" "$tel_dir/access3.stripped" || {
 
 # perf-regression gate, positive: a fresh serve-latency trajectory is
 # inside the tolerance band of the checked-in baseline
-BENCH="./_build/default/bench/main.exe"
-UCP_BENCH10_OUT="$tel_dir/b10.json" \
-  "$BENCH" --serve-trajectory --baseline BENCH_10.json \
+"$UCP" bench serve --out "$tel_dir/b10.json" --baseline BENCH_10.json \
   >"$tel_dir/gate_ok.out" 2>&1 || {
   echo "ci: telemetry smoke: serve trajectory regressed against BENCH_10.json" >&2
   cat "$tel_dir/gate_ok.out" >&2
@@ -591,8 +589,8 @@ grep -q 'gate passed' "$tel_dir/gate_ok.out" || {
 }
 # negative: an armed stall on a mix case must trip the gate (exit 5)
 status=0
-UCP_FAULT='crc:k1:45nm:lru=stall-request:4' UCP_BENCH10_OUT="$tel_dir/b10s.json" \
-  "$BENCH" --serve-trajectory --baseline BENCH_10.json \
+UCP_FAULT='crc:k1:45nm:lru=stall-request:4' \
+  "$UCP" bench serve --out "$tel_dir/b10s.json" --baseline BENCH_10.json \
   >"$tel_dir/gate_bad.out" 2>&1 || status=$?
 if [ "$status" -ne 5 ]; then
   echo "ci: telemetry smoke: stalled trajectory exited $status, expected 5" >&2
@@ -619,6 +617,27 @@ if [ "$status" -ne 5 ]; then
 fi
 echo "ci: telemetry smoke passed"
 
+# Refine-precision trajectory: the exact refinement must reproduce the
+# checked-in BENCH_8.json per-policy figures field for field (NC
+# 158/800/2478 -> 112 for lru/fifo/plru).  Only the "policies" array is
+# compared; the top-level wall_s and jobs vary by host.
+"$UCP" bench refine --out "$tel_dir/b8.json" --jobs 2 \
+  >"$tel_dir/b8.out" 2>&1 || {
+  echo "ci: refine trajectory: ucp bench refine failed" >&2
+  cat "$tel_dir/b8.out" >&2
+  exit 1
+}
+b8_policies() { sed -n 's/.*"policies":\(\[.*\]\)}$/\1/p' "$1"; }
+b8_fresh=$(b8_policies "$tel_dir/b8.json")
+b8_pinned=$(b8_policies BENCH_8.json)
+if [ -z "$b8_pinned" ] || [ "$b8_fresh" != "$b8_pinned" ]; then
+  echo "ci: refine trajectory: policies differ from BENCH_8.json" >&2
+  echo "  fresh:  $b8_fresh" >&2
+  echo "  pinned: $b8_pinned" >&2
+  exit 1
+fi
+echo "ci: refine trajectory passed"
+
 # Fuzzing smoke: a fixed-seed differential campaign must come back
 # clean and record-for-record deterministic; the checked-in reproducer
 # corpus must replay green; and injected corruptions must be caught,
@@ -626,6 +645,16 @@ echo "ci: telemetry smoke passed"
 # entry proving the replay comparison actually bites.
 fuzz_dir=$(mktemp -d)
 trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$ident_dir" "$speed_dir" "$refine_dir" "$serve_dir" "$tel_dir" "$fuzz_dir"' EXIT
+
+# a bad worker count is a usage error (exit 124), not an uncaught
+# exception from the pool
+status=0
+"$UCP" fuzz --count 1 --jobs 0 >/dev/null 2>"$fuzz_dir/jobs0.err" || status=$?
+if [ "$status" -ne 124 ]; then
+  echo "ci: fuzz smoke: --jobs 0 exited $status, expected 124" >&2
+  cat "$fuzz_dir/jobs0.err" >&2
+  exit 1
+fi
 
 # fixed seed, zero findings (exit 0), and a rerun is byte-identical
 # modulo the summary line (the only line carrying wall-clock)

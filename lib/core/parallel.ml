@@ -215,7 +215,7 @@ let shutdown pool =
 (* ------------------------------------------------------------------ *)
 (* deterministic parallel map *)
 
-let map ?jobs ?chunk ?progress ?telemetry f items =
+let map ?jobs ?progress ?telemetry f items =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Parallel.map: jobs must be positive";
   let n = Array.length items in
@@ -224,15 +224,10 @@ let map ?jobs ?chunk ?progress ?telemetry f items =
     [||]
   end
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Parallel.map: chunk must be positive"
-      (* small chunks smooth out the order-of-magnitude spread in
-         per-case cost across programs; 4 chunks per worker bounds the
-         tail wait by ~1/4 of a worker's share *)
-      | None -> max 1 (n / (jobs * 4))
-    in
+    (* small chunks smooth out the order-of-magnitude spread in
+       per-case cost across programs; 4 chunks per worker bounds the
+       tail wait by ~1/4 of a worker's share *)
+    let chunk = max 1 (n / (jobs * 4)) in
     (* results land at their input index, so the output order is the
        input order no matter which worker finishes when *)
     let results = Array.make n None in
@@ -282,22 +277,24 @@ let map ?jobs ?chunk ?progress ?telemetry f items =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let try_map ?jobs ?chunk ?progress ?telemetry f items =
-  map ?jobs ?chunk ?progress ?telemetry
-    (fun x ->
-      match f x with
-      | v -> Outcome.Ok v
-      | exception Deadline.Deadline_exceeded -> Outcome.Timed_out
-      | exception Outcome.Invariant msg -> Outcome.Invariant_violation msg
-      | exception (Fault.Killed_worker _ as e) -> raise e
-      | exception exn ->
-        let bt = Printexc.get_raw_backtrace () in
-        Outcome.Failed
-          {
-            Outcome.exn_text = Printexc.to_string exn;
-            backtrace = Printexc.raw_backtrace_to_string bt;
-          })
-    items
+(* the per-element failure isolation shared by [try_map] and [sweep];
+   a kill escapes it by design, so the pool's death handler runs *)
+let outcome_of f =
+  match f () with
+  | v -> Outcome.Ok v
+  | exception Deadline.Deadline_exceeded -> Outcome.Timed_out
+  | exception Outcome.Invariant msg -> Outcome.Invariant_violation msg
+  | exception (Fault.Killed_worker _ as e) -> raise e
+  | exception exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    Outcome.Failed
+      {
+        Outcome.exn_text = Printexc.to_string exn;
+        backtrace = Printexc.raw_backtrace_to_string bt;
+      }
+
+let try_map ?jobs ?progress ?telemetry f items =
+  map ?jobs ?progress ?telemetry (fun x -> outcome_of (fun () -> f x)) items
 
 (* ------------------------------------------------------------------ *)
 (* the parallel evaluation sweep *)
@@ -365,7 +362,7 @@ let strip = function
 let sweep ?(programs = Ucp_workloads.Suite.all)
     ?(configs = Experiments.default_configs) ?(techs = Tech.all)
     ?(policies = [ Ucp_policy.Lru ]) ?(audit = Ucp_verify.Off)
-    ?(refine = Ucp_refine.Mode.Nc) ?jobs ?chunk
+    ?(refine = Ucp_refine.Mode.Nc) ?jobs
     ?progress ?heartbeat ?timeout ?checkpoint ?(resume = false) () =
   (match timeout with
   | Some t when (not (Float.is_finite t)) || t <= 0.0 ->
@@ -452,20 +449,6 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
          tally each case once); fault hooks, invariant checks and
          journaling run only after the audit verdict is in — the same
          order the old inline audit observed. *)
-      let wrap f =
-        match f () with
-        | v -> Outcome.Ok v
-        | exception Deadline.Deadline_exceeded -> Outcome.Timed_out
-        | exception Outcome.Invariant msg -> Outcome.Invariant_violation msg
-        | exception (Fault.Killed_worker _ as e) -> raise e
-        | exception exn ->
-          let bt = Printexc.get_raw_backtrace () in
-          Outcome.Failed
-            {
-              Outcome.exn_text = Printexc.to_string exn;
-              backtrace = Printexc.raw_backtrace_to_string bt;
-            }
-      in
       (* each index is written by exactly one task, so [final] needs no
          lock; [note_done] serializes the user-visible side effects *)
       let set_final i o =
@@ -488,7 +471,7 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
       let pool = create ~respawn:true ~jobs () in
       let audit_task i id r input timed () =
         set_final i
-          (wrap (fun () ->
+          (outcome_of (fun () ->
                (* the obligation gets its own deadline window: time
                   spent queued behind other cases is not execution *)
                let deadline = Option.map Deadline.after timeout in
@@ -499,7 +482,7 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         let c = cases.(i) in
         let id = Experiments.case_id c in
         let evaluated =
-          wrap (fun () ->
+          outcome_of (fun () ->
               Ucp_obs.Trace.with_span ~name:"case"
                 ~args:[ ("id", Ucp_obs.Trace.Str id) ] (fun () ->
                   observed_case (fun () ->
@@ -527,7 +510,7 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         | Outcome.Ok (r, Some input, timed) ->
           submit ~weight:0 pool (audit_task i id r input timed)
         | Outcome.Ok (r, None, timed) ->
-          set_final i (wrap (fun () -> finalize id r timed))
+          set_final i (outcome_of (fun () -> finalize id r timed))
         | Outcome.Failed f -> set_final i (Outcome.Failed f)
         | Outcome.Timed_out -> set_final i Outcome.Timed_out
         | Outcome.Invariant_violation m ->
@@ -584,16 +567,8 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
             ~finally:(fun () -> shutdown pool)
             (fun () ->
               let todo_n = Array.length todo in
-              let chunk =
-                match chunk with
-                | Some c when c >= 1 -> c
-                | Some _ ->
-                  invalid_arg "Parallel.sweep: chunk must be positive"
-                (* small chunks smooth out the order-of-magnitude spread
-                   in per-case cost across programs; 4 chunks per worker
-                   bounds the tail wait by ~1/4 of a worker's share *)
-                | None -> max 1 (todo_n / (jobs * 4))
-              in
+              (* the same chunking rule as [map] *)
+              let chunk = max 1 (todo_n / (jobs * 4)) in
               let lo = ref 0 in
               while !lo < todo_n do
                 let l = !lo and h = min todo_n (!lo + chunk) in

@@ -70,7 +70,6 @@ val shutdown : pool -> unit
 
 val map :
   ?jobs:int ->
-  ?chunk:int ->
   ?progress:(done_:int -> total:int -> unit) ->
   ?telemetry:(Telemetry.worker_stat array -> unit) ->
   ('a -> 'b) ->
@@ -78,8 +77,8 @@ val map :
   'b array
 (** [map f items] applies [f] to every element on a fresh pool of
     [?jobs] (default {!default_jobs}) workers and returns the results
-    in input order.  Work is handed out in contiguous chunks of
-    [?chunk] elements (default: enough for ~4 chunks per worker).
+    in input order.  Work is handed out in contiguous chunks sized for
+    ~4 chunks per worker.
     [?progress] is invoked after {e each finished element} with the
     number of elements completed so far; calls are serialized under a
     dedicated lock and [done_] is strictly increasing, but they arrive
@@ -94,7 +93,6 @@ val map :
 
 val try_map :
   ?jobs:int ->
-  ?chunk:int ->
   ?progress:(done_:int -> total:int -> unit) ->
   ?telemetry:(Telemetry.worker_stat array -> unit) ->
   ('a -> 'b) ->
@@ -147,7 +145,6 @@ val sweep :
   ?audit:Ucp_verify.mode ->
   ?refine:Ucp_refine.Mode.t ->
   ?jobs:int ->
-  ?chunk:int ->
   ?progress:(done_:int -> total:int -> unit) ->
   ?heartbeat:float ->
   ?timeout:float ->

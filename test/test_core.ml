@@ -121,7 +121,7 @@ module Parallel = Ucp_core.Parallel
 
 let test_parallel_map_order () =
   let items = Array.init 100 (fun i -> i) in
-  let out = Parallel.map ~jobs:4 ~chunk:3 (fun i -> i * i) items in
+  let out = Parallel.map ~jobs:4 (fun i -> i * i) items in
   Alcotest.(check (array int)) "input order" (Array.map (fun i -> i * i) items) out
 
 let test_parallel_map_empty () =
@@ -130,7 +130,7 @@ let test_parallel_map_empty () =
 let test_parallel_map_exception () =
   Alcotest.check_raises "first failure re-raised" (Failure "boom") (fun () ->
       ignore
-        (Parallel.map ~jobs:2 ~chunk:1
+        (Parallel.map ~jobs:2
            (fun i -> if i = 5 then failwith "boom" else i)
            (Array.init 10 (fun i -> i))))
 
@@ -138,7 +138,7 @@ let test_parallel_map_progress () =
   let total_items = 20 in
   let seen = ref [] in
   let out =
-    Parallel.map ~jobs:3 ~chunk:4
+    Parallel.map ~jobs:3
       ~progress:(fun ~done_ ~total ->
         Alcotest.(check int) "total" total_items total;
         seen := done_ :: !seen)
@@ -225,7 +225,7 @@ let test_default_jobs_env () =
 
 let test_try_map_outcomes () =
   let out =
-    Parallel.try_map ~jobs:2 ~chunk:1
+    Parallel.try_map ~jobs:2
       (fun i ->
         if i = 1 then failwith "kaboom"
         else if i = 2 then raise Deadline.Deadline_exceeded
@@ -261,7 +261,7 @@ let test_map_progress_exception_contained () =
   (* a raising progress callback must not void the computed results *)
   let calls = ref 0 in
   let out =
-    Parallel.map ~jobs:2 ~chunk:2
+    Parallel.map ~jobs:2
       ~progress:(fun ~done_:_ ~total:_ ->
         incr calls;
         failwith "progress boom")
@@ -423,7 +423,7 @@ let test_sweep_survives_killed_worker () =
   with_faults
     [ ("fft1:a:45nm:lru", Fault.Kill_worker) ]
     (fun () ->
-      let s = Parallel.sweep ~programs ~configs ~techs ~jobs:2 ~chunk:1 () in
+      let s = Parallel.sweep ~programs ~configs ~techs ~jobs:2 () in
       Alcotest.(check int) "one worker replaced" 1 s.Parallel.worker_restarts;
       match s.Parallel.results with
       | [ ("fft1:a:45nm:lru", Outcome.Failed { exn_text; _ }); (_, Outcome.Ok r) ] ->
