@@ -220,26 +220,30 @@ echo "ci: observability smoke passed"
 # wall-clock audit_s masked to 0).  The digest was taken from the
 # round-robin fixpoint that the change-driven schedule replaced; only a
 # deliberate, documented change to the record stream may re-pin it.
+# The grid runs at 1, 2 and 3 workers: the record stream must not
+# depend on how the pool splits the work.
 ident_dir=$(mktemp -d)
 trap 'rm -f "$smoke_err"; rm -rf "$obs_dir" "$ident_dir"' EXIT
 ident_pinned=f86def55d45e90e1def701644875fd14
 
-dune exec --no-build bin/ucp.exe -- experiment \
-  --programs fft1,crc,fdct,st,bs,ndes,janne_complex,duff,matmult,ludcmp \
-  --configs k2,k5,k17,k29 --techs 45nm --policies lru,fifo,plru \
-  --audit full --jobs 2 --sweep-out "$ident_dir/grid.jsonl" \
-  >/dev/null 2>"$smoke_err" || {
-  echo "ci: record-identity gate: sweep failed" >&2
-  cat "$smoke_err" >&2
-  exit 1
-}
-ident_digest=$(grep -v '"summary"' "$ident_dir/grid.jsonl" \
-  | sed 's/"audit_s":[0-9.e-]*/"audit_s":0/' | md5sum | cut -d' ' -f1)
-if [ "$ident_digest" != "$ident_pinned" ]; then
-  echo "ci: record-identity gate: records digest $ident_digest, pinned $ident_pinned" >&2
-  exit 1
-fi
-echo "ci: record-identity gate passed"
+for ident_jobs in 1 2 3; do
+  dune exec --no-build bin/ucp.exe -- experiment \
+    --programs fft1,crc,fdct,st,bs,ndes,janne_complex,duff,matmult,ludcmp \
+    --configs k2,k5,k17,k29 --techs 45nm --policies lru,fifo,plru \
+    --audit full --jobs "$ident_jobs" --sweep-out "$ident_dir/grid.jsonl" \
+    >/dev/null 2>"$smoke_err" || {
+    echo "ci: record-identity gate: sweep failed at --jobs $ident_jobs" >&2
+    cat "$smoke_err" >&2
+    exit 1
+  }
+  ident_digest=$(grep -v '"summary"' "$ident_dir/grid.jsonl" \
+    | sed 's/"audit_s":[0-9.e-]*/"audit_s":0/' | md5sum | cut -d' ' -f1)
+  if [ "$ident_digest" != "$ident_pinned" ]; then
+    echo "ci: record-identity gate: records digest $ident_digest at --jobs $ident_jobs, pinned $ident_pinned" >&2
+    exit 1
+  fi
+done
+echo "ci: record-identity gate passed (--jobs 1, 2, 3)"
 
 # Audit-speed smoke: full certification must ride along nearly free.
 # The certificate checks are linear passes (no re-solve), so on a

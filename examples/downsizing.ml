@@ -24,7 +24,8 @@ let () =
   List.iter
     (fun factor ->
       match
-        if factor = 2 then Config.half_capacity full else Config.quarter_capacity full
+        let half = Config.half_capacity full in
+        if factor = 2 then half else Option.bind half Config.half_capacity
       with
       | None -> ()
       | Some small ->

@@ -39,7 +39,6 @@ let scaled_capacity t factor =
   else None
 
 let half_capacity t = scaled_capacity t 2
-let quarter_capacity t = scaled_capacity t 4
 
 let pp ppf t = Format.pp_print_string ppf (id t)
 

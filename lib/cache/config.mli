@@ -29,8 +29,5 @@ val half_capacity : t -> t option
 (** Same associativity and block size with capacity halved, when that
     still yields at least one set (used by the Figure 5 experiment). *)
 
-val quarter_capacity : t -> t option
-(** Capacity divided by four, when valid. *)
-
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -78,7 +78,7 @@ val model_table :
     front so a 2664-case sweep derives 72 models instead of 2664, and
     so worker domains only ever read the table. *)
 
-(** A sweep-wide memo of original-program analyses, keyed
+(** A memo of original-program analyses, keyed
     ["<program>:<config id>:<policy>"].  The cache-aware fixpoint never
     reads the CACTI timing model, so the technology axis of the grid
     shares one analysis per key.  Thread-safe (mutex-guarded lookups;
@@ -104,7 +104,7 @@ val eval_case :
 (** Evaluate one use case without discharging its audit: the record
     carries [Not_audited] and, under [?audit:true], the deferred
     obligation is returned for {!Pipeline.finish_audit} — the parallel
-    sweep schedules it as its own work item.  [?memo] shares
+    sweep discharges it right after, under a fresh deadline.  [?memo] shares
     original-program analyses across the technology axis. *)
 
 val run_case :

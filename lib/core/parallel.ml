@@ -2,7 +2,7 @@ module Tech = Ucp_energy.Tech
 module Deadline = Ucp_util.Deadline
 
 (* ------------------------------------------------------------------ *)
-(* fixed-size domain pool with a chunked work queue *)
+(* fixed-size domain pool with a FIFO work queue *)
 
 (* per-worker telemetry, aggregated under [pool.mutex] when a task
    finishes (the worker holds the lock there anyway); the public
@@ -213,69 +213,66 @@ let shutdown pool =
   drain ()
 
 (* ------------------------------------------------------------------ *)
-(* deterministic parallel map *)
+(* the one dispatch path behind [map], [try_map] and [sweep] *)
 
-let map ?jobs ?progress ?telemetry f items =
+(* One pool task per item; item [i]'s result lands at [out.(i)], so the
+   output order is the input order no matter which worker finishes
+   when.  [weight x] is the number of work units item [x] stands for
+   (its worker's [cases] tally); the item calls [tick] once per finished
+   unit.  [count] holds the units already done before the run (the
+   sweep's resumed cases) and is advanced by every tick, so a watcher
+   may read it concurrently.  [None] in [out] marks an item lost with
+   its worker domain (possible only under [~respawn:true]). *)
+let run ?progress ~respawn ~jobs ~count ~weight f items =
+  let total =
+    Array.fold_left (fun acc x -> acc + weight x) (Atomic.get count) items
+  in
+  (* callbacks are serialized under a dedicated lock and observe a
+     strictly increasing count; a raising callback must not poison the
+     pool and void the computed results, so the first exception
+     disables further callbacks and the run completes normally *)
+  let pmutex = Mutex.create () in
+  let progress_dead = ref false in
+  let tick () =
+    match progress with
+    | None -> Atomic.incr count
+    | Some cb ->
+      Mutex.protect pmutex (fun () ->
+          let done_ = 1 + Atomic.fetch_and_add count 1 in
+          if not !progress_dead then
+            try cb ~done_ ~total
+            with exn ->
+              progress_dead := true;
+              Ucp_obs.Log.warn
+                "progress callback raised %s; progress reporting disabled for \
+                 the rest of this run"
+                (Printexc.to_string exn))
+  in
+  let out = Array.make (Array.length items) None in
+  let pool = create ~respawn ~jobs () in
+  Fun.protect
+    ~finally:(fun () -> shutdown pool)
+    (fun () ->
+      Array.iteri
+        (fun i x ->
+          submit ~weight:(weight x) pool (fun () -> out.(i) <- Some (f ~tick x)))
+        items;
+      wait pool;
+      (out, worker_stats pool, restarts pool))
+
+let map ?jobs ?progress f items =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then invalid_arg "Parallel.map: jobs must be positive";
-  let n = Array.length items in
-  if n = 0 then begin
-    Option.iter (fun cb -> cb [||]) telemetry;
-    [||]
-  end
-  else begin
-    (* small chunks smooth out the order-of-magnitude spread in
-       per-case cost across programs; 4 chunks per worker bounds the
-       tail wait by ~1/4 of a worker's share *)
-    let chunk = max 1 (n / (jobs * 4)) in
-    (* results land at their input index, so the output order is the
-       input order no matter which worker finishes when *)
-    let results = Array.make n None in
-    let pmutex = Mutex.create () in
-    let completed = ref 0 in
-    (* a raising progress callback must not poison the pool and void
-       the computed results: the first exception disables further
-       callbacks and the map completes normally *)
-    let progress_dead = ref false in
-    (* per finished element, not per chunk: callbacks are serialized
-       under a dedicated lock and observe a strictly increasing count *)
-    let note_done () =
-      match progress with
-      | None -> ()
-      | Some cb ->
-        Mutex.lock pmutex;
-        incr completed;
-        let done_ = !completed in
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock pmutex)
-          (fun () ->
-            if not !progress_dead then
-              try cb ~done_ ~total:n
-              with exn ->
-                progress_dead := true;
-                Ucp_obs.Log.warn
-                  "progress callback raised %s; progress reporting disabled for \
-                   the rest of this run"
-                  (Printexc.to_string exn))
-    in
-    let pool = create ~jobs () in
-    Fun.protect
-      ~finally:(fun () -> shutdown pool)
-      (fun () ->
-        let lo = ref 0 in
-        while !lo < n do
-          let l = !lo and h = min n (!lo + chunk) in
-          submit ~weight:(h - l) pool (fun () ->
-              for k = l to h - 1 do
-                results.(k) <- Some (f items.(k));
-                note_done ()
-              done);
-          lo := h
-        done;
-        wait pool;
-        Option.iter (fun cb -> cb (worker_stats pool)) telemetry);
-    Array.map (function Some v -> v | None -> assert false) results
-  end
+  let out, _, _ =
+    run ?progress ~respawn:false ~jobs ~count:(Atomic.make 0)
+      ~weight:(fun _ -> 1)
+      (fun ~tick x ->
+        let v = f x in
+        tick ();
+        v)
+      items
+  in
+  (* a non-respawning pool raises [Worker_died] rather than lose a task *)
+  Array.map Option.get out
 
 (* the per-element failure isolation shared by [try_map] and [sweep];
    a kill escapes it by design, so the pool's death handler runs *)
@@ -293,8 +290,8 @@ let outcome_of f =
         backtrace = Printexc.raw_backtrace_to_string bt;
       }
 
-let try_map ?jobs ?progress ?telemetry f items =
-  map ?jobs ?progress ?telemetry (fun x -> outcome_of (fun () -> f x)) items
+let try_map ?jobs ?progress f items =
+  map ?jobs ?progress (fun x -> outcome_of (fun () -> f x)) items
 
 (* ------------------------------------------------------------------ *)
 (* the parallel evaluation sweep *)
@@ -375,7 +372,6 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let cases = Experiments.cases ~policies ~programs ~configs ~techs () in
   let models = Experiments.model_table configs techs in
-  let memo = Experiments.Analysis_memo.create () in
   let n = Array.length cases in
   let journal =
     match checkpoint with
@@ -409,52 +405,31 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
               final.(i) <- Some (Outcome.Ok (r, Pipeline.fresh_timings ()))
             | None -> ())
           cases);
-      let todo =
-        Array.of_list
-          (List.filter (fun i -> Option.is_none final.(i)) (List.init n Fun.id))
+      (* one work item per contiguous run of unfinished cases sharing
+         (program, configuration): exactly the cases that can share an
+         [Experiments.Analysis_memo] entry, so each item gets a memo of
+         its own — freed with the item, never raced on by two workers,
+         and the work counters do not depend on [jobs] *)
+      let items =
+        let same i j =
+          let a = cases.(i) and b = cases.(j) in
+          a.Experiments.case_program_name = b.Experiments.case_program_name
+          && a.Experiments.case_config_id = b.Experiments.case_config_id
+        in
+        List.init n Fun.id
+        |> List.filter (fun i -> Option.is_none final.(i))
+        |> List.fold_left
+             (fun acc i ->
+               match acc with
+               | (j :: _ as group) :: rest when same i j -> (i :: group) :: rest
+               | _ -> [ i ] :: acc)
+             []
+        |> List.rev_map (fun group -> Array.of_list (List.rev group))
+        |> Array.of_list
       in
-      (* grid-level completion count, fed by the finalize path and read
-         by the heartbeat domain *)
+      (* grid-level completion count, advanced per finished case and
+         read by the heartbeat domain *)
       let hb_done = Atomic.make !resumed in
-      (* per finalized case, serialized under a dedicated lock; a
-         raising progress callback must not poison the pool and void
-         the computed results, so the first exception disables further
-         callbacks and the sweep completes normally *)
-      let pmutex = Mutex.create () in
-      let completed = ref 0 in
-      let progress_dead = ref false in
-      let note_done () =
-        Mutex.lock pmutex;
-        incr completed;
-        let done_ = !completed + !resumed in
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock pmutex)
-          (fun () ->
-            Atomic.set hb_done done_;
-            match progress with
-            | None -> ()
-            | Some cb ->
-              if not !progress_dead then
-                try cb ~done_ ~total:n
-                with exn ->
-                  progress_dead := true;
-                  Ucp_obs.Log.warn
-                    "progress callback raised %s; progress reporting disabled \
-                     for the rest of this run"
-                    (Printexc.to_string exn))
-      in
-      (* Evaluation and certification are separate work items on one
-         pool: a case task analyzes/optimizes/simulates, then queues its
-         deferred audit obligation (weight 0, so per-worker case counts
-         tally each case once); fault hooks, invariant checks and
-         journaling run only after the audit verdict is in — the same
-         order the old inline audit observed. *)
-      (* each index is written by exactly one task, so [final] needs no
-         lock; [note_done] serializes the user-visible side effects *)
-      let set_final i o =
-        final.(i) <- Some o;
-        note_done ()
-      in
       let finalize id (r : Experiments.record) timed =
         let r = Fault.corrupt id r in
         (match Experiments.check_invariants r with
@@ -465,24 +440,13 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         Option.iter (fun j -> Checkpoint.record j ~id r) journal;
         (r, timed)
       in
-      (* a killed worker domain must not sink the whole sweep: the pool
-         replaces dead domains and the lost chunk's cases surface as
-         structured failures below *)
-      let pool = create ~respawn:true ~jobs () in
-      let audit_task i id r input timed () =
-        set_final i
-          (outcome_of (fun () ->
-               (* the obligation gets its own deadline window: time
-                  spent queued behind other cases is not execution *)
-               let deadline = Option.map Deadline.after timeout in
-               let audit = Pipeline.finish_audit ?deadline ~timed input in
-               finalize id { r with Experiments.audit } timed))
-      in
-      let case_task i =
+      (* evaluate, audit and finalize one case on its worker; fault
+         hooks, invariant checks and journaling see the audited record *)
+      let run_case memo i =
         let c = cases.(i) in
         let id = Experiments.case_id c in
-        let evaluated =
-          outcome_of (fun () ->
+        outcome_of (fun () ->
+            let r, obligation, timed =
               Ucp_obs.Trace.with_span ~name:"case"
                 ~args:[ ("id", Ucp_obs.Trace.Str id) ] (fun () ->
                   observed_case (fun () ->
@@ -504,20 +468,17 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
                           ~corrupt_cert:(Fault.corrupt_cert id) ~refine
                           ~corrupt_refine:(Fault.corrupt_refine id) ~model c
                       in
-                      (r, obligation, timed))))
-        in
-        match evaluated with
-        | Outcome.Ok (r, Some input, timed) ->
-          submit ~weight:0 pool (audit_task i id r input timed)
-        | Outcome.Ok (r, None, timed) ->
-          set_final i (outcome_of (fun () -> finalize id r timed))
-        | Outcome.Failed f -> set_final i (Outcome.Failed f)
-        | Outcome.Timed_out -> set_final i Outcome.Timed_out
-        | Outcome.Invariant_violation m ->
-          set_final i (Outcome.Invariant_violation m)
+                      (r, obligation, timed)))
+            in
+            match obligation with
+            | None -> finalize id r timed
+            | Some input ->
+              (* the audit gets its own deadline window, so a slow
+                 evaluation does not eat into the certification budget *)
+              let deadline = Option.map Deadline.after timeout in
+              let audit = Pipeline.finish_audit ?deadline ~timed input in
+              finalize id { r with Experiments.audit } timed)
       in
-      let stats = ref [||] in
-      let pool_restarts = ref 0 in
       (* periodic liveness line on stderr: overall completion, sweep
          throughput and a run-rate ETA, so a hung worker is visible long
          before any per-case deadline fires *)
@@ -558,29 +519,27 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
                 loop (started +. every)))
           heartbeat
       in
-      Fun.protect
-        ~finally:(fun () ->
-          Atomic.set hb_stop true;
-          Option.iter Domain.join hb_domain)
-        (fun () ->
-          Fun.protect
-            ~finally:(fun () -> shutdown pool)
-            (fun () ->
-              let todo_n = Array.length todo in
-              (* the same chunking rule as [map] *)
-              let chunk = max 1 (todo_n / (jobs * 4)) in
-              let lo = ref 0 in
-              while !lo < todo_n do
-                let l = !lo and h = min todo_n (!lo + chunk) in
-                submit ~weight:(h - l) pool (fun () ->
-                    for k = l to h - 1 do
-                      case_task todo.(k)
-                    done);
-                lo := h
-              done;
-              wait pool;
-              stats := worker_stats pool;
-              pool_restarts := restarts pool));
+      (* a killed worker domain must not sink the whole sweep: the pool
+         replaces dead domains and the unfinished cases of the lost item
+         surface as structured failures below *)
+      let _, workers, worker_restarts =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set hb_stop true;
+            Option.iter Domain.join hb_domain)
+          (fun () ->
+            run ?progress ~respawn:true ~jobs ~count:hb_done ~weight:Array.length
+              (fun ~tick group ->
+                let memo = Experiments.Analysis_memo.create () in
+                Array.iter
+                  (fun i ->
+                    (* each index is written by exactly one task, so
+                       [final] needs no lock *)
+                    final.(i) <- Some (run_case memo i);
+                    tick ())
+                  group)
+              items)
+      in
       let timings = Pipeline.fresh_timings () in
       Array.iter
         (function
@@ -594,8 +553,8 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
                match final.(i) with
                | Some o -> (Experiments.case_id c, strip o)
                | None ->
-                 (* the chunk task holding this case died with its
-                    worker domain before [set_final] ran *)
+                 (* the item holding this case died with its worker
+                    domain before the case finished *)
                  ( Experiments.case_id c,
                    Outcome.Failed
                      {
@@ -618,6 +577,6 @@ let sweep ?(programs = Ucp_workloads.Suite.all)
         timings;
         jobs;
         cases = n;
-        workers = !stats;
-        worker_restarts = !pool_restarts;
+        workers;
+        worker_restarts;
       })

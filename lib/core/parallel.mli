@@ -1,6 +1,8 @@
 (** Multicore sweep engine: a fixed-size [Domain] worker pool with a
-    chunked work queue (mutex + condition variable, standard library
-    only) evaluating the paper's use-case grid in parallel.
+    FIFO work queue (mutex + condition variable, standard library
+    only) evaluating the paper's use-case grid in parallel.  {!map},
+    {!try_map} and {!sweep} share one dispatch path: one pool task per
+    work item, results written at the item's input index.
 
     Every use case is an independent (program, configuration,
     technology, replacement policy) tuple, so the sweep is
@@ -71,30 +73,25 @@ val shutdown : pool -> unit
 val map :
   ?jobs:int ->
   ?progress:(done_:int -> total:int -> unit) ->
-  ?telemetry:(Telemetry.worker_stat array -> unit) ->
   ('a -> 'b) ->
   'a array ->
   'b array
 (** [map f items] applies [f] to every element on a fresh pool of
     [?jobs] (default {!default_jobs}) workers and returns the results
-    in input order.  Work is handed out in contiguous chunks sized for
-    ~4 chunks per worker.
+    in input order.  Each element is its own pool task.
     [?progress] is invoked after {e each finished element} with the
     number of elements completed so far; calls are serialized under a
     dedicated lock and [done_] is strictly increasing, but they arrive
     on worker domains — callbacks must not assume the main domain.  A
     raising progress callback does not void the results: the first
     exception disables further callbacks (with a {!Ucp_obs.Log.warn})
-    and the map completes normally.  [?telemetry] receives the final
-    per-worker {!Telemetry.worker_stat} snapshot once every task has drained
-    (an empty array for an empty input).  If [f] raises, the first
+    and the map completes normally.  If [f] raises, the first
     exception is re-raised after the pool drains, with its original
     backtrace. *)
 
 val try_map :
   ?jobs:int ->
   ?progress:(done_:int -> total:int -> unit) ->
-  ?telemetry:(Telemetry.worker_stat array -> unit) ->
   ('a -> 'b) ->
   'a array ->
   'b Outcome.t array
@@ -128,13 +125,13 @@ type sweep = {
   jobs : int;  (** worker count actually used *)
   cases : int;  (** number of use cases in the grid *)
   workers : Telemetry.worker_stat array;
-      (** per-worker busy time and case counts ([cases] there counts
-          evaluated cases only — resumed cases ran no task); empty when
-          every case was replayed from the journal *)
+      (** per-worker busy time, tasks and case counts ([cases] there
+          counts evaluated cases only — resumed cases ran no task) *)
   worker_restarts : int;
       (** worker domains that died mid-sweep and were replaced (the
-          sweep pool runs with [~respawn:true]); cases lost with a dead
-          domain surface in [failures] as [Outcome.Failed] *)
+          sweep pool runs with [~respawn:true]); the unfinished cases of
+          the work item a dead domain was running surface in [failures]
+          as [Outcome.Failed] *)
 }
 
 val sweep :
@@ -157,12 +154,20 @@ val sweep :
     by a replacement-policy axis and is part of the checkpoint
     fingerprint, so resuming an LRU-only journal against a
     multi-policy grid is rejected) on a worker pool.  The CACTI model is computed once per
-    (configuration, technology) pair up front; a sweep-wide
-    {!Experiments.Analysis_memo} shares each original-program analysis
-    across the technology axis (the fixpoint never reads the timing
-    model), and within each use case it is further shared between the
-    optimizer and the original measurement (see
-    {!Pipeline.compare_optimized}).
+    (configuration, technology) pair up front.
+
+    Dispatch: one pool task per contiguous run of cases sharing
+    (program, configuration).  Each such work item has its own
+    {!Experiments.Analysis_memo}, which shares each original-program
+    analysis across the technology axis (the fixpoint never reads the
+    timing model); within each use case the analysis is further shared
+    between the optimizer and the original measurement (see
+    {!Pipeline.compare_optimized}).  Every case that can share a memo
+    entry is in the same item, so no two workers race on one, the work
+    counters do not depend on [?jobs], and an item's analyses are freed
+    when it finishes.  [?progress] is called after each finished case,
+    with the same guarantees as in {!map}; [done_] counts resumed cases
+    too and [total] is the grid size.
 
     Fault tolerance: each case is evaluated in isolation and its
     failure — an exception, a blown [?timeout] (a per-case cooperative
@@ -174,17 +179,16 @@ val sweep :
 
     Certification: [?audit] (default [Off]) runs the {!Ucp_verify}
     audit on every case ([Full]) or a deterministic 1-in-N sample keyed
-    by case id ([Sample N], stable across resume).  Each audit runs as
-    its own pool work item after its case's evaluation (with a fresh
-    per-case deadline — queue wait is not execution); the record is
-    finalized (fault hooks, invariant guard, checkpoint journal) only
-    once the verdict is in.  An audited case whose certificate fails
-    any obligation is demoted to [Invariant_violation] with the
-    obligation named; audited records carry their verdict and cost in
-    {!Experiments.record.audit} and the audit wall-clock lands in
-    [timings].  A [Fault.Corrupt_cert] hook arms the
-    certificate-corruption path on its case, which must then fail its
-    audit.
+    by case id ([Sample N], stable across resume).  Each audit runs on
+    its case's worker right after the evaluation, under a fresh
+    [?timeout] window of its own; the record is finalized (fault hooks,
+    invariant guard, checkpoint journal) only once the verdict is in.
+    An audited case whose certificate fails any obligation is demoted
+    to [Invariant_violation] with the obligation named; audited records
+    carry their verdict and cost in {!Experiments.record.audit} and the
+    audit wall-clock lands in [timings].  A [Fault.Corrupt_cert] hook
+    arms the certificate-corruption path on its case, which must then
+    fail its audit.
 
     Refinement: [?refine] (default [Nc] — parallel sweeps refine by
     default, matching {!Experiments.sweep}) runs the focused exact

@@ -120,8 +120,8 @@ type comparison = {
 type audit_input
 (** A deferred audit obligation: the two analyses, the optimizer result
     and the fault hook of an evaluated case, detached from the
-    evaluation so the sweep can schedule certification as its own work
-    item on the domain pool. *)
+    evaluation so the sweep can certify it under a deadline window of
+    its own. *)
 
 val prepare :
   ?deadline:Ucp_util.Deadline.t ->

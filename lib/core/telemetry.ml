@@ -6,6 +6,6 @@
 (* per-worker telemetry snapshot, indexed by worker *)
 type worker_stat = {
   busy_s : float;  (* wall-clock the worker spent inside tasks *)
-  tasks : int;  (* tasks (chunks) it executed *)
+  tasks : int;  (* pool tasks (work items) it executed *)
   cases : int;  (* work items it executed (the sum of task weights) *)
 }

@@ -34,7 +34,6 @@ let make program ~block_bytes =
 
 let program t = t.program
 let block_bytes t = t.block_bytes
-let items_per_block t = t.block_bytes / Instr.bytes
 
 let addr t ~block ~pos =
   let slot_count = Program.slots t.program block in

@@ -22,8 +22,6 @@ val make : Program.t -> block_bytes:int -> t
 
 val program : t -> Program.t
 val block_bytes : t -> int
-val items_per_block : t -> int
-(** Instructions per memory block ([block_bytes / 4]). *)
 
 val addr : t -> block:int -> pos:int -> int
 (** Byte address of an instruction slot.

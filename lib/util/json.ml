@@ -236,11 +236,6 @@ let parse src =
     else Ok v
   | exception Parse_error { pos; msg } -> Error (Printf.sprintf "byte %d: %s" pos msg)
 
-let parse_exn src =
-  match parse src with
-  | Ok v -> v
-  | Error msg -> raise (Parse_error { pos = 0; msg })
-
 (* ------------------------------------------------------------------ *)
 (* printing *)
 

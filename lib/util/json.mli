@@ -22,9 +22,6 @@ val parse : string -> (t, string) result
 (** Parse one complete JSON value covering the whole input (leading and
     trailing whitespace allowed, nothing else). *)
 
-val parse_exn : string -> t
-(** @raise Parse_error on malformed input. *)
-
 val to_string : t -> string
 (** Compact (no-whitespace) rendering; [parse (to_string v) = Ok v] up
     to float formatting. *)

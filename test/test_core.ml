@@ -187,6 +187,36 @@ let check_sweep_equal jobs =
 let test_parallel_sweep_deterministic () = check_sweep_equal 4
 let test_parallel_sweep_single_worker () = check_sweep_equal 1
 
+(* each (program, configuration) is one work item, so the memoized
+   analysis shared across the technology axis runs once per key and
+   the work counters do not depend on the worker count *)
+let test_parallel_sweep_counters_jobs_invariant () =
+  let module Metrics = Ucp_obs.Metrics in
+  let configs =
+    [
+      ("a", Config.make ~assoc:2 ~block_bytes:16 ~capacity:256);
+      ("b", Config.make ~assoc:2 ~block_bytes:16 ~capacity:512);
+    ]
+  in
+  let counters jobs =
+    Metrics.enable ();
+    Metrics.reset ();
+    Fun.protect ~finally:Metrics.disable (fun () ->
+        ignore (Parallel.sweep ~programs:det_programs ~configs ~techs:Tech.all ~jobs ()));
+    List.map
+      (fun name ->
+        match Metrics.find name with
+        | Some (Metrics.Counter n) -> n
+        | _ -> Alcotest.failf "%s not recorded" name)
+      [ "fixpoint_iterations_total"; "fixpoint_transfers_total" ]
+  in
+  let one = counters 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list int)) (Printf.sprintf "jobs %d matches jobs 1" jobs) one
+        (counters jobs))
+    [ 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* robustness: per-case isolation, deadlines, fault injection,
    checkpoint/resume *)
@@ -737,6 +767,80 @@ let test_checkpoint_policy_fingerprint_mismatch () =
            false
          with Failure msg -> Ucp_testlib.contains ~substring:"fingerprint" msg))
 
+(* a killed worker loses only the unfinished cases of its own work
+   item: on a single-tech, single-policy grid every item is one case *)
+let test_sweep_killed_worker_loses_one_case () =
+  let programs, _, techs = tiny_grid () in
+  let configs = List.filteri (fun i _ -> i < 8) Config.paper_configs in
+  with_faults
+    [ ("fft1:k1:45nm:lru", Fault.Kill_worker) ]
+    (fun () ->
+      let s = Parallel.sweep ~programs ~configs ~techs ~jobs:2 () in
+      Alcotest.(check int) "grid size" 16 s.Parallel.cases;
+      Alcotest.(check int) "one worker replaced" 1 s.Parallel.worker_restarts;
+      Alcotest.(check (list string)) "exactly the killed case is lost"
+        [ "fft1:k1:45nm:lru" ]
+        (List.map fst s.Parallel.failures);
+      Alcotest.(check int) "every other case survives" 15
+        (List.length s.Parallel.records))
+
+(* the sweep's progress path: serialized, strictly increasing, counting
+   resumed cases, and a raising callback leaves the records intact *)
+let test_sweep_progress () =
+  let programs, _, techs = tiny_grid () in
+  let configs =
+    [
+      ("a", Config.make ~assoc:2 ~block_bytes:16 ~capacity:256);
+      ("b", Config.make ~assoc:2 ~block_bytes:16 ~capacity:512);
+    ]
+  in
+  let watch () =
+    let seen = ref [] in
+    let cb ~done_ ~total =
+      Alcotest.(check int) "total is the grid size" 4 total;
+      seen := done_ :: !seen
+    in
+    (cb, fun () -> List.rev !seen)
+  in
+  let path = Filename.temp_file "ucp_progress" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let progress, seen = watch () in
+      let s0 =
+        Parallel.sweep ~programs ~configs ~techs ~jobs:2 ~checkpoint:path
+          ~progress ()
+      in
+      Alcotest.(check (list int)) "one call per case, strictly increasing"
+        [ 1; 2; 3; 4 ] (seen ());
+      (* keep the header and two journaled cases, then resume *)
+      (match
+         String.split_on_char '\n'
+           (In_channel.with_open_text path In_channel.input_all)
+       with
+      | header :: r1 :: r2 :: _ ->
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc (String.concat "\n" [ header; r1; r2; "" ]))
+      | _ -> Alcotest.fail "journal too short");
+      let progress, seen = watch () in
+      let s1 =
+        Parallel.sweep ~programs ~configs ~techs ~jobs:2 ~checkpoint:path
+          ~resume:true ~progress ()
+      in
+      Alcotest.(check int) "two cases replayed" 2 s1.Parallel.resumed;
+      Alcotest.(check (list int)) "resumed cases counted" [ 3; 4 ] (seen ());
+      let calls = ref 0 in
+      let s2 =
+        Parallel.sweep ~programs ~configs ~techs ~jobs:2
+          ~progress:(fun ~done_:_ ~total:_ ->
+            incr calls;
+            failwith "progress boom")
+          ()
+      in
+      Alcotest.(check int) "callback disabled after first raise" 1 !calls;
+      Alcotest.(check bool) "records intact" true
+        (s2.Parallel.records = s0.Parallel.records))
+
 let test_experiments_ratio_degenerate () =
   Alcotest.(check bool) "zero denominator is None" true
     (Experiments.ratio 5 0 = None);
@@ -867,6 +971,8 @@ let () =
             test_parallel_sweep_deterministic;
           Alcotest.test_case "sweep degenerate pool (jobs 1)" `Quick
             test_parallel_sweep_single_worker;
+          Alcotest.test_case "sweep counters independent of jobs" `Quick
+            test_parallel_sweep_counters_jobs_invariant;
         ] );
       ( "robustness",
         [
@@ -912,6 +1018,9 @@ let () =
             `Quick test_checkpoint_policy_fingerprint_mismatch;
           Alcotest.test_case "degenerate ratios" `Quick
             test_experiments_ratio_degenerate;
+          Alcotest.test_case "killed worker loses only its case" `Quick
+            test_sweep_killed_worker_loses_one_case;
+          Alcotest.test_case "sweep progress" `Quick test_sweep_progress;
         ] );
       ( "bench-gate",
         [
