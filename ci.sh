@@ -245,6 +245,29 @@ for ident_jobs in 1 2 3; do
 done
 echo "ci: record-identity gate passed (--jobs 1, 2, 3)"
 
+# Second pinned slice: statemate and nsichneu carry almost all of the
+# exact-refinement work and every state-budget hit (statemate:k15
+# demotes 66 original and 18 optimized references), which the grid
+# above never reaches.  Both techs, LRU, default refinement; the record
+# lines must hash to the digest pinned below at 1 and 2 workers.
+slice_pinned=e3bc71a816d834b40eb3904f44e312ea
+for ident_jobs in 1 2; do
+  dune exec --no-build bin/ucp.exe -- experiment \
+    --programs statemate,nsichneu --configs k15,k30 --techs 45nm,32nm \
+    --policies lru --refine nc --jobs "$ident_jobs" \
+    --sweep-out "$ident_dir/slice.jsonl" >/dev/null 2>"$smoke_err" || {
+    echo "ci: record-identity slice: sweep failed at --jobs $ident_jobs" >&2
+    cat "$smoke_err" >&2
+    exit 1
+  }
+  slice_digest=$(grep -v '"summary"' "$ident_dir/slice.jsonl" | md5sum | cut -d' ' -f1)
+  if [ "$slice_digest" != "$slice_pinned" ]; then
+    echo "ci: record-identity slice: records digest $slice_digest at --jobs $ident_jobs, pinned $slice_pinned" >&2
+    exit 1
+  fi
+done
+echo "ci: record-identity slice passed (statemate,nsichneu; --jobs 1, 2)"
+
 # Audit-speed smoke: full certification must ride along nearly free.
 # The certificate checks are linear passes (no re-solve), so on a
 # 24-case grid the audited wall stays within 3x of the unaudited one

@@ -34,10 +34,31 @@ val mem_block_of_addr : t -> int -> int
 (** Memory block id of a byte address. *)
 
 val addr_of_uid : t -> int -> int option
-(** Address of the instruction with the given uid, if present. *)
+(** Address of the instruction with the given uid, if present.  O(1):
+    {!make} indexes every uid while it walks the slots, so this never
+    scans the program ({!Program.find_uid} followed by {!addr} is the
+    slow equivalent). *)
 
 val mem_block_of_uid : t -> int -> int option
-(** [S(r)] looked up by uid. *)
+(** [S(r)] looked up by uid, O(1) like {!addr_of_uid}. *)
+
+(** What the instruction in a slot prefetches. *)
+type target =
+  | Not_prefetch  (** an ordinary instruction or a terminator *)
+  | Target of int  (** a prefetch loading this memory block *)
+  | Unresolved of int
+      (** a prefetch whose target uid (the payload) is not in the
+          program — e.g. its target was itself a removed prefetch.
+          Each consumer keeps its own reaction: the analysis rejects
+          it, the simulator fails when it executes, the exact
+          refinement skips it. *)
+
+val prefetch_target : t -> block:int -> pos:int -> target
+(** The layout is the single owner of slot → prefetch-target
+    resolution: {!make} resolves every prefetch once, and this is an
+    array read — the fixpoint, product exploration and simulator hot
+    loops call it per slot instead of looking the target uid up.
+    @raise Invalid_argument on a nonexistent slot. *)
 
 val first_slot_of_mem_block : t -> int -> (int * int) option
 (** [R(s)]: the [(block, pos)] of the lowest-addressed instruction

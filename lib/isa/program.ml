@@ -129,19 +129,18 @@ let make ~name ~entry specs =
   { name; entry; blocks; next_uid = !next_uid }
 
 let find_uid t uid =
-  let found = ref None in
-  Array.iteri
-    (fun id b ->
-      if !found = None then begin
-        Array.iteri (fun pos i -> if i.Instr.uid = uid then found := Some (id, pos)) b.body;
-        if !found = None && term_slots b.term = 1 then
-          match b.term with
-          | Jump { uid = u; _ } | Cond { uid = u; _ } | Return { uid = u } ->
-            if u = uid then found := Some (id, Array.length b.body)
-          | Fallthrough _ -> ()
-      end)
-    t.blocks;
-  !found
+  let exception Found of int * int in
+  try
+    Array.iteri
+      (fun id b ->
+        Array.iteri (fun pos i -> if i.Instr.uid = uid then raise (Found (id, pos))) b.body;
+        match b.term with
+        | (Jump { uid = u; _ } | Cond { uid = u; _ } | Return { uid = u }) when u = uid ->
+          raise (Found (id, Array.length b.body))
+        | Jump _ | Cond _ | Return _ | Fallthrough _ -> ())
+      t.blocks;
+    None
+  with Found (id, pos) -> Some (id, pos)
 
 let insert_prefetch t ~block:id ~pos ~target_uid =
   if id < 0 || id >= Array.length t.blocks then

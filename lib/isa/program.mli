@@ -88,7 +88,10 @@ val remove_uid : t -> int -> t
     @raise Invalid_argument if the uid names a terminator or is absent. *)
 
 val find_uid : t -> int -> (int * int) option
-(** [find_uid p uid] locates an instruction as [(block, pos)]. *)
+(** [find_uid p uid] locates an instruction as [(block, pos)],
+    stopping at the first slot (in program order) that carries [uid].
+    A scan of the program: hot loops resolve uids through
+    {!Layout.addr_of_uid} and {!Layout.prefetch_target} instead. *)
 
 val prefetch_count : t -> int
 (** Number of prefetch instructions in the program. *)

@@ -167,8 +167,7 @@ let run_plain ?deadline ?budget ~corrupt ~mode (w : Wcet.t) =
               List.iter
                 (fun cs ->
                   ignore
-                    (Product.transfer (module P) ~assoc ~config ~layout ~program
-                       ~set
+                    (Product.transfer (module P) ~assoc r.Product.projection
                        ~on_access:(fun ~pos ~hit ->
                          if Hashtbl.mem all_hit pos then
                            if hit then Hashtbl.replace all_miss pos false

@@ -190,12 +190,14 @@ let run ?(seed = 42) ?(max_steps = 3_000_000) ?(policy = Concrete.Lru) ?hw ?lock
       let instr = b.Program.body.(pos) in
       (match instr.Instr.kind with
       | Instr.Compute -> ()
-      | Instr.Prefetch target_uid -> (
+      | Instr.Prefetch _ -> (
         st.executed_prefetches <- st.executed_prefetches + 1;
         if locked_tbl = None then
-          match Layout.mem_block_of_uid layout target_uid with
-          | Some target -> if not (is_pinned target) then ignore (issue_prefetch st target)
-          | None -> failwith "Simulator.run: dangling prefetch target"));
+          match Layout.prefetch_target layout ~block ~pos with
+          | Layout.Target target ->
+            if not (is_pinned target) then ignore (issue_prefetch st target)
+          | Layout.Unresolved _ | Layout.Not_prefetch ->
+            failwith "Simulator.run: dangling prefetch target"));
       hw_observe
         {
           Hw_prefetch.mem_block = mb;

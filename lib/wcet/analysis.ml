@@ -22,15 +22,12 @@ type t = {
 
 let slot_mem_block_of layout ~block ~pos = Layout.mem_block layout ~block ~pos
 
-let prefetch_target layout instr =
-  match instr.Instr.kind with
-  | Instr.Compute -> None
-  | Instr.Prefetch target_uid -> (
-    match Layout.mem_block_of_uid layout target_uid with
-    | Some mb -> Some mb
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Analysis: prefetch targets unknown uid %d" target_uid))
+let prefetch_target layout ~block ~pos =
+  match Layout.prefetch_target layout ~block ~pos with
+  | Layout.Not_prefetch -> None
+  | Layout.Target mb -> Some mb
+  | Layout.Unresolved target_uid ->
+    invalid_arg (Printf.sprintf "Analysis: prefetch targets unknown uid %d" target_uid)
 
 (* Residency hint for a prefetch/hardware fill: known resident, known
    absent, or unknown — from the states right before the fill. *)
@@ -87,8 +84,7 @@ let transfer ~vivu ~layout ~with_may ~hw_next_n ~pinned ~classif node_id (must0,
         end
       done
     end;
-    let instr = Program.slot_instr program ~block ~pos in
-    match prefetch_target layout instr with
+    match prefetch_target layout ~block ~pos with
     | None -> ()
     | Some tb ->
       if not (pinned tb) then begin
@@ -251,8 +247,7 @@ let slot_mem_block t ~node ~pos =
 
 let prefetch_target_block t ~node ~pos =
   let nd = Vivu.node t.vivu node in
-  let instr = Program.slot_instr (Vivu.program t.vivu) ~block:nd.Vivu.block ~pos in
-  prefetch_target t.layout instr
+  prefetch_target t.layout ~block:nd.Vivu.block ~pos
 
 let miss_count_bound t =
   let program = Vivu.program t.vivu in

@@ -217,6 +217,81 @@ let prop_uid_addresses_unique =
       let sorted = List.sort_uniq compare !addrs in
       List.length sorted = List.length !addrs)
 
+(* The layout's O(1) uid index and per-slot prefetch-target table
+   against the program scan they replace, on generated programs edited
+   by random prefetch insertions and removals.  Insertions may target a
+   prefetch that a later removal deletes, so unresolved targets occur. *)
+type edit = Insert of int * int * int | Remove of int
+
+let gen_edited_program =
+  let open QCheck2.Gen in
+  let* p = Ucp_testlib.gen_program in
+  let* edits =
+    list_size (int_bound 8)
+      (frequency
+         [ (3, map (fun (b, i, t) -> Insert (b, i, t)) (triple nat nat nat));
+           (1, map (fun k -> Remove k) nat) ])
+  in
+  let uids_of p =
+    let uids = ref [] in
+    Program.iter_slots p (fun ~block:_ ~pos:_ ~instr -> uids := instr.Instr.uid :: !uids);
+    Array.of_list (List.rev !uids)
+  in
+  let created = ref (Array.to_list (uids_of p)) in
+  let prefetch_uids p =
+    let uids = ref [] in
+    Program.iter_slots p (fun ~block:_ ~pos:_ ~instr ->
+        if Instr.is_prefetch instr then uids := instr.Instr.uid :: !uids);
+    Array.of_list (List.rev !uids)
+  in
+  let apply p = function
+    | Insert (b, i, t) ->
+      let uids = uids_of p in
+      let block = b mod Program.block_count p in
+      let pos = i mod (Array.length (Program.block p block).Program.body + 1) in
+      let p, uid =
+        Program.insert_prefetch p ~block ~pos ~target_uid:uids.(t mod Array.length uids)
+      in
+      created := uid :: !created;
+      p
+    | Remove k ->
+      let pfs = prefetch_uids p in
+      if Array.length pfs = 0 then p
+      else Program.remove_uid p pfs.(k mod Array.length pfs)
+  in
+  let p = List.fold_left apply p edits in
+  return (p, List.fold_left max 0 !created)
+
+let prop_uid_index_matches_scan =
+  QCheck2.Test.make ~name:"uid index and target table match the program scan" ~count:200
+    ~print:(fun (p, _) -> Ucp_testlib.print_program p)
+    gen_edited_program (fun (p, max_uid) ->
+      List.for_all
+        (fun block_bytes ->
+          let l = Layout.make p ~block_bytes in
+          let scan uid =
+            Option.map (fun (block, pos) -> Layout.addr l ~block ~pos) (Program.find_uid p uid)
+          in
+          let uids_ok = ref true in
+          for uid = -1 to max_uid + 2 do
+            if Layout.addr_of_uid l uid <> scan uid then uids_ok := false;
+            if Layout.mem_block_of_uid l uid <> Option.map (fun a -> a / block_bytes) (scan uid)
+            then uids_ok := false
+          done;
+          let targets_ok = ref true in
+          Program.iter_slots p (fun ~block ~pos ~instr ->
+              let expected =
+                match instr.Instr.kind with
+                | Instr.Compute -> Layout.Not_prefetch
+                | Instr.Prefetch uid -> (
+                  match Layout.mem_block_of_uid l uid with
+                  | Some mb -> Layout.Target mb
+                  | None -> Layout.Unresolved uid)
+              in
+              if Layout.prefetch_target l ~block ~pos <> expected then targets_ok := false);
+          !uids_ok && !targets_ok)
+        [ 16; 32 ])
+
 let () =
   Alcotest.run "ucp_isa"
     [
@@ -247,5 +322,6 @@ let () =
           Alcotest.test_case "bad block size" `Quick test_layout_rejects_bad_block_size;
           QCheck_alcotest.to_alcotest prop_layout_block_count;
           QCheck_alcotest.to_alcotest prop_uid_addresses_unique;
+          QCheck_alcotest.to_alcotest prop_uid_index_matches_scan;
         ] );
     ]

@@ -418,6 +418,71 @@ let test_one_refine_span () =
   Alcotest.(check bool) "the refine stage is still timed" true (tm.Pipeline.refine_s > 0.0)
 
 (* ------------------------------------------------------------------ *)
+(* the projected product BFS against the slot-by-slot reference *)
+
+module Product = Ucp_refine.Product
+module Ref_product = Ucp_testlib.Ref_product
+
+let gen_product_case =
+  let open QCheck2.Gen in
+  let* p = Ucp_testlib.gen_prefetched_program in
+  let* config = Ucp_testlib.gen_config in
+  let* budget = int_range 1 40 in
+  return (p, config, budget)
+
+let print_product_case (p, config, budget) =
+  Printf.sprintf "%s @ %s budget=%d" (Ucp_testlib.print_program p)
+    (Ucp_testlib.print_config config) budget
+
+(* Same in-states per node in the same order, same visited count and
+   exhaustion flag, and — replaying every reachable in-state — the same
+   [on_access] sequence and out-state, for every set under every
+   policy, with the default budget and with a small one that cuts the
+   sweep short. *)
+let prop_product_matches_reference =
+  QCheck2.Test.make ~name:"projected product BFS matches the slot-by-slot reference"
+    ~count:150 ~print:print_product_case gen_product_case (fun (p, config, small) ->
+      let layout = Ucp_isa.Layout.make p ~block_bytes:config.Config.block_bytes in
+      let vivu = Vivu.expand p in
+      let assoc = config.Config.assoc in
+      List.for_all
+        (fun policy ->
+          let pm = Policy.find policy in
+          List.for_all
+            (fun budget ->
+              List.for_all
+                (fun set ->
+                  let r = Product.reachable ?budget ~policy ~set vivu layout config in
+                  let o = Ref_product.reachable ?budget ~policy ~set vivu layout config in
+                  let replay_ok = ref true in
+                  Array.iteri
+                    (fun node states ->
+                      let block = (Vivu.node vivu node).Vivu.block in
+                      List.iter
+                        (fun cs ->
+                          let seen_r = ref [] and seen_o = ref [] in
+                          let out_r =
+                            Product.transfer pm ~assoc r.Product.projection
+                              ~on_access:(fun ~pos ~hit -> seen_r := (pos, hit) :: !seen_r)
+                              ~block cs
+                          in
+                          let out_o =
+                            Ref_product.transfer pm ~assoc ~config ~layout ~set
+                              ~on_access:(fun ~pos ~hit -> seen_o := (pos, hit) :: !seen_o)
+                              ~block cs
+                          in
+                          if out_r <> out_o || !seen_r <> !seen_o then replay_ok := false)
+                        states)
+                    r.Product.per_node;
+                  r.Product.per_node = o.Ref_product.per_node
+                  && r.Product.visited = o.Ref_product.visited
+                  && r.Product.exhausted = o.Ref_product.exhausted
+                  && !replay_ok)
+                (List.init config.Config.sets Fun.id))
+            [ None; Some small ])
+        Policy.all)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "refine"
@@ -457,6 +522,7 @@ let () =
         ] );
       ( "trace",
         [ Alcotest.test_case "one refine span per refinement" `Quick test_one_refine_span ] );
+      ("product", [ QCheck_alcotest.to_alcotest prop_product_matches_reference ]);
       ( "quantitative",
         [
           Alcotest.test_case "analysis bound holds on the simulated run" `Slow

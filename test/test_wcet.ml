@@ -240,25 +240,6 @@ module Abstract = Ucp_cache.Abstract
 module Metrics = Ucp_obs.Metrics
 module Ref_fixpoint = Ucp_testlib.Ref_fixpoint
 
-(* Insert prefetches at generated (block, pos, target) picks, so the
-   prefetch-fill semantics is part of what the oracle compares. *)
-let with_prefetches p picks =
-  let uids = ref [] in
-  Program.iter_slots p (fun ~block:_ ~pos:_ ~instr -> uids := instr.Ucp_isa.Instr.uid :: !uids);
-  let uids = Array.of_list (List.rev !uids) in
-  List.fold_left
-    (fun p (b, i, t) ->
-      let block = b mod Program.block_count p in
-      let pos = i mod (Array.length (Program.block p block).Program.body + 1) in
-      fst (Program.insert_prefetch p ~block ~pos ~target_uid:uids.(t mod Array.length uids)))
-    p picks
-
-let gen_prefetched_program =
-  let open QCheck2.Gen in
-  let* p = Ucp_testlib.gen_program in
-  let* picks = list_size (int_bound 4) (triple nat nat nat) in
-  return (with_prefetches p picks)
-
 type fixpoint_case = {
   fc_program : Program.t;
   fc_config : Config.t;
@@ -270,7 +251,7 @@ type fixpoint_case = {
 
 let gen_fixpoint_case =
   let open QCheck2.Gen in
-  let* fc_program = gen_prefetched_program in
+  let* fc_program = Ucp_testlib.gen_prefetched_program in
   let* fc_config = Ucp_testlib.gen_config in
   let* fc_policy = oneofl [ Ucp_policy.Lru; Ucp_policy.Fifo; Ucp_policy.Plru ] in
   let* fc_with_may = bool in
@@ -359,7 +340,7 @@ let residual_is_fresh w = w.Wcet.residual = Wcet.residual_prefetch_stall w
 
 let prop_stored_residual =
   QCheck2.Test.make ~name:"stored residual equals a fresh search" ~count:100
-    ~print:Ucp_testlib.print_program gen_prefetched_program (fun p ->
+    ~print:Ucp_testlib.print_program Ucp_testlib.gen_prefetched_program (fun p ->
       residual_is_fresh (Wcet.compute p config model)
       && residual_is_fresh (Wcet.compute ~with_may:false p config model))
 

@@ -6,6 +6,9 @@ module Ref_domain = Ref_domain
 (* Executable reference schedule of the must/may fixpoint. *)
 module Ref_fixpoint = Ref_fixpoint
 
+(* Executable reference of the per-set product exploration. *)
+module Ref_product = Ref_product
+
 module Dsl = Ucp_workloads.Dsl
 module Config = Ucp_cache.Config
 module Cacti = Ucp_energy.Cacti
@@ -69,6 +72,26 @@ let gen_stmts =
 
 let gen_program =
   QCheck2.Gen.map (fun stmts -> Dsl.compile ~name:"gen" stmts) gen_stmts
+
+(* Insert prefetches at generated (block, pos, target) picks, so the
+   prefetch-fill semantics is part of what an oracle compares. *)
+let with_prefetches p picks =
+  let module Program = Ucp_isa.Program in
+  let uids = ref [] in
+  Program.iter_slots p (fun ~block:_ ~pos:_ ~instr -> uids := instr.Ucp_isa.Instr.uid :: !uids);
+  let uids = Array.of_list (List.rev !uids) in
+  List.fold_left
+    (fun p (b, i, t) ->
+      let block = b mod Program.block_count p in
+      let pos = i mod (Array.length (Program.block p block).Program.body + 1) in
+      fst (Program.insert_prefetch p ~block ~pos ~target_uid:uids.(t mod Array.length uids)))
+    p picks
+
+let gen_prefetched_program =
+  let open QCheck2.Gen in
+  let* p = gen_program in
+  let* picks = list_size (int_bound 4) (triple nat nat nat) in
+  return (with_prefetches p picks)
 
 let gen_config =
   let open QCheck2.Gen in
